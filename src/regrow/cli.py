@@ -138,6 +138,8 @@ def _resolve_settings(args: argparse.Namespace) -> dict[str, object]:
                 settings[key] = parse(settings[key])
             except ValueError:
                 raise InvalidValueError(f"bad value for {key}: {settings[key]!r}") from None
+    if settings["n_trees"] < 1:
+        raise InvalidValueError(f"n_trees must be at least 1, got {settings['n_trees']}")
     return settings
 
 

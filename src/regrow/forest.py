@@ -5,6 +5,16 @@ splits minimize within-node variance (regression) or Gini impurity
 (classification) using sort-plus-prefix-sum scans. Per-tree generators are
 derived deterministically from (seed, tree_index), so a fixed seed yields
 a bit-identical forest.
+
+The split search of a node is vectorized across its candidate features: the
+node's ``n x mtry`` submatrix is stably sorted column by column, and one
+prefix sum of the per-row target statistics gives the cost of every
+(feature, position) split at once. Tie-break contract: among splits of
+equal cost, the first candidate feature in the node's draw order wins, and
+within that feature the first position (the smallest left side). A split
+is valid only between two distinct sorted values and only if it leaves at
+least ``min_leaf`` rows on each side. The node's candidate features are
+drawn with one ``rng.choice`` per node, in depth-first pre-order.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import TooFewPointsError
+from .errors import InvalidValueError, TooFewPointsError
 
 __all__ = ["RandomForestModel", "train_random_forest"]
 
@@ -35,60 +45,46 @@ class _Node:
         self.value = value
 
 
-def _best_split_regression(v: np.ndarray, y: np.ndarray, min_leaf: int):
-    order = np.argsort(v, kind="stable")
-    sv = v[order]
-    sy = y[order]
-    n = len(sv)
-    positions = np.arange(min_leaf, n - min_leaf + 1)
-    if len(positions) == 0:
-        return None
-    valid = positions[sv[positions - 1] < sv[positions]]
-    if len(valid) == 0:
-        return None
-    c1 = np.cumsum(sy)
-    c2 = np.cumsum(sy * sy)
-    n_l = valid.astype(np.float64)
-    s_l = c1[valid - 1]
-    q_l = c2[valid - 1]
-    n_r = n - n_l
-    s_r = c1[-1] - s_l
-    q_r = c2[-1] - q_l
-    cost = (q_l - s_l * s_l / n_l) + (q_r - s_r * s_r / n_r)
-    best = int(np.argmin(cost))
-    i = int(valid[best])
-    threshold = 0.5 * (sv[i - 1] + sv[i])
-    return float(cost[best]), threshold
+def _best_split(Xs: np.ndarray, stats: np.ndarray, regression: bool, min_leaf: int):
+    """Cheapest split of a node over all of its candidate features at once.
 
-
-def _best_split_gini(v: np.ndarray, onehot: np.ndarray, min_leaf: int):
-    order = np.argsort(v, kind="stable")
-    sv = v[order]
-    n = len(sv)
-    positions = np.arange(min_leaf, n - min_leaf + 1)
-    if len(positions) == 0:
-        return None
-    valid = positions[sv[positions - 1] < sv[positions]]
-    if len(valid) == 0:
-        return None
-    counts = np.cumsum(onehot[order], axis=0)
-    left = counts[valid - 1]
-    total = counts[-1]
-    right = total[None, :] - left
-    n_l = valid.astype(np.float64)
+    ``Xs`` is the node's ``n x m`` candidate-feature submatrix, with ``n >=
+    2 * min_leaf``; ``stats`` holds the node's ``n x k`` per-row target
+    statistics: ``(y, y*y)`` for regression, one-hot classes otherwise.
+    Returns ``(cost, column, threshold)``; the cost is ``inf`` when no column
+    has a valid split.
+    """
+    n = len(Xs)
+    lo, hi = min_leaf, n - min_leaf
+    order = Xs.argsort(axis=0, kind="stable")
+    # The same values as gathering Xs by `order`, for less than a gather costs.
+    sv = np.sort(Xs, axis=0)
+    # Prefix sums in each column's own sorted order, shape (n, m, k): row
+    # i - 1 is the left side of the split that sends i rows left.
+    cum = stats[order].cumsum(axis=0)
+    left = cum[lo - 1:hi]
+    right = cum[-1] - left
+    n_l = np.arange(lo, hi + 1, dtype=np.float64)[:, None]
     n_r = n - n_l
-    # Minimizing weighted Gini == minimizing n - sum(left^2)/n_l - sum(right^2)/n_r.
-    cost = n - (left * left).sum(axis=1) / n_l - (right * right).sum(axis=1) / n_r
-    best = int(np.argmin(cost))
-    i = int(valid[best])
-    threshold = 0.5 * (sv[i - 1] + sv[i])
-    return float(cost[best]), threshold
+    if regression:
+        s_l, q_l = left[..., 0], left[..., 1]
+        s_r, q_r = right[..., 0], right[..., 1]
+        cost = (q_l - s_l * s_l / n_l) + (q_r - s_r * s_r / n_r)
+    else:
+        # Minimizing weighted Gini == minimizing n - sum(left^2)/n_l - sum(right^2)/n_r.
+        cost = n - (left * left).sum(axis=2) / n_l - (right * right).sum(axis=2) / n_r
+    cost[~(sv[lo - 1:hi] < sv[lo:hi + 1])] = np.inf
+    # The transpose makes the flat argmin feature-major: first column, then
+    # first position.
+    column, row = divmod(int(cost.T.argmin()), len(cost))
+    i = lo + row
+    return float(cost[row, column]), column, 0.5 * (sv[i - 1, column] + sv[i, column])
 
 
 def _grow(
     X: np.ndarray,
     y: np.ndarray,
-    onehot: np.ndarray | None,
+    stats: np.ndarray,
     idx: np.ndarray,
     depth: int,
     *,
@@ -99,56 +95,46 @@ def _grow(
     rng: np.random.Generator,
 ) -> _Node:
     y_node = y[idx]
+    regression = mode == "regression"
 
     def leaf() -> _Node:
-        if mode == "regression":
+        if regression:
             return _Node(value=float(y_node.mean()))
-        counts = onehot[idx].sum(axis=0)
-        return _Node(value=int(np.argmax(counts)))
+        return _Node(value=int(np.argmax(stats[idx].sum(axis=0))))
 
     if len(idx) < 2 * min_leaf or len(idx) < 2:
         return leaf()
     if max_depth is not None and depth >= max_depth:
         return leaf()
-    if np.all(y_node == y_node[0]):
+    if (y_node == y_node[0]).all():
         return leaf()
 
-    if mode == "regression":
+    stats_node = stats[idx]
+    if regression:
         s = y_node.sum()
         parent_cost = float((y_node * y_node).sum() - s * s / len(idx))
     else:
-        counts = onehot[idx].sum(axis=0)
+        counts = stats_node.sum(axis=0)
         parent_cost = float(len(idx) - (counts * counts).sum() / len(idx))
 
     p = X.shape[1]
     features = rng.choice(p, size=min(mtry, p), replace=False)
-    best = None  # (cost, feature, threshold)
-    for f in features:
-        v = X[idx, f]
-        if mode == "regression":
-            found = _best_split_regression(v, y_node, min_leaf)
-        else:
-            found = _best_split_gini(v, onehot[idx], min_leaf)
-        if found is None:
-            continue
-        cost, threshold = found
-        if best is None or cost < best[0]:
-            best = (cost, int(f), threshold)
-
-    if best is None or parent_cost - best[0] <= _MIN_GAIN:
+    Xs = X[idx[:, None], features]
+    cost, column, threshold = _best_split(Xs, stats_node, regression, min_leaf)
+    # An infinite cost (no valid split) makes a leaf here too.
+    if parent_cost - cost <= _MIN_GAIN:
         return leaf()
 
-    _, feature, threshold = best
-    mask = X[idx, feature] <= threshold
+    mask = Xs[:, column] <= threshold
     node = _Node()
-    node.feature = feature
+    node.feature = int(features[column])
     node.threshold = threshold
     node.left = _grow(
-        X, y, onehot, idx[mask], depth + 1,
+        X, y, stats, idx[mask], depth + 1,
         mode=mode, max_depth=max_depth, min_leaf=min_leaf, mtry=mtry, rng=rng,
     )
     node.right = _grow(
-        X, y, onehot, idx[~mask], depth + 1,
+        X, y, stats, idx[~mask], depth + 1,
         mode=mode, max_depth=max_depth, min_leaf=min_leaf, mtry=mtry, rng=rng,
     )
     return node
@@ -197,24 +183,28 @@ def train_random_forest(
     """Train a forest of CART trees on bootstrap samples.
 
     Feature subsampling defaults to sqrt(p) for classification and
-    ceil(p/3) for regression.
+    ceil(p/3) for regression. ``n_trees``, ``min_leaf`` and ``mtry`` must be
+    at least 1.
     """
+    for name, value in (("n_trees", n_trees), ("min_leaf", min_leaf), ("mtry", mtry)):
+        if value is not None and value < 1:
+            raise InvalidValueError(f"{name} must be at least 1, got {value}")
     X = np.asarray(features, dtype=np.float64)
     n, p = X.shape
     if n < 2:
         raise TooFewPointsError(f"need at least 2 training rows, got {n}")
 
     classes: tuple[str, ...] | None = None
-    onehot = None
     if mode == "classification":
         labels = list(targets)
         classes = tuple(sorted(set(labels)))
         index = {c: i for i, c in enumerate(classes)}
         y = np.array([index[c] for c in labels], dtype=np.float64)
-        onehot = np.zeros((n, len(classes)))
-        onehot[np.arange(n), y.astype(int)] = 1.0
+        stats = np.zeros((n, len(classes)))
+        stats[np.arange(n), y.astype(int)] = 1.0
     else:
         y = np.asarray(targets, dtype=np.float64)
+        stats = np.column_stack((y, y * y))
 
     if mtry is None:
         mtry = max(1, int(math.sqrt(p))) if mode == "classification" else max(
@@ -227,7 +217,7 @@ def train_random_forest(
         idx = rng.integers(0, n, n) if bootstrap else np.arange(n)
         trees.append(
             _grow(
-                X, y, onehot, np.asarray(idx), 0,
+                X, y, stats, np.asarray(idx), 0,
                 mode=mode, max_depth=max_depth, min_leaf=min_leaf, mtry=mtry, rng=rng,
             )
         )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Literal, Mapping, Sequence
 
 import numpy as np
@@ -152,12 +153,26 @@ class ReferenceSet:
             return self.centroids
         return self.centroids_by_year.get(year, {})
 
+    @cached_property
+    def _secondary_by_id(self) -> dict[str, EmbeddingVector]:
+        return {p.point_id: p.embedding for p in self.secondary_points}
+
+    @cached_property
+    def _secondary_coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(point_id, lon, lat) columns of the secondary points."""
+        pts = self.secondary_points
+        return (
+            np.array([p.point_id for p in pts]),
+            np.array([p.lon for p in pts]),
+            np.array([p.lat for p in pts]),
+        )
+
     def secondary_embedding(self, point_id: str, year: int | None = None) -> EmbeddingVector:
         if self.policy.kind == "fixed" or year is None:
-            for p in self.secondary_points:
-                if p.point_id == point_id:
-                    return p.embedding
-            raise NoSecondaryForestPointsError(f"unknown secondary point {point_id!r}")
+            emb = self._secondary_by_id.get(point_id)
+            if emb is None:
+                raise NoSecondaryForestPointsError(f"unknown secondary point {point_id!r}")
+            return emb
         by_year = self.secondary_by_year.get(point_id, {})
         emb = by_year.get(year)
         if emb is None:
@@ -261,10 +276,9 @@ def find_local_reference(site: SiteRecord, refset: ReferenceSet) -> tuple[str, f
     pts = refset.secondary_points
     if not pts:
         raise NoSecondaryForestPointsError("reference set has no secondary points")
-    lons = np.array([p.lon for p in pts])
-    lats = np.array([p.lat for p in pts])
+    ids, lons, lats = refset._secondary_coords
     dists = haversine_km_many(site.centroid_lon, site.centroid_lat, lons, lats)
-    best = min(range(len(pts)), key=lambda i: (dists[i], pts[i].point_id))
+    best = int(np.lexsort((ids, dists))[0])
     return pts[best].point_id, float(dists[best])
 
 

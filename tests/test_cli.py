@@ -111,6 +111,19 @@ class TestErrors:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "invalid_value"
 
+    @pytest.mark.parametrize("n_trees", ["0", "-3"])
+    def test_non_positive_tree_count_rejected_without_outputs(
+        self, world_dir, tmp_path, capsys, n_trees
+    ):
+        out = tmp_path / "pred"
+        code = run([
+            "predict", "--inputs-dir", world_dir, "--output-dir", out, "--n-trees", n_trees,
+        ])
+        assert code == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(line)["error"] == "invalid_value"
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestReferencesCommand:
     def test_classify_build_outliers(self, world_dir, tmp_path):

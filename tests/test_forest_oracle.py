@@ -1,0 +1,192 @@
+"""The vectorized forest splitter against the per-feature reference splitter.
+
+The oracle below is the one-feature-at-a-time split search and node loop
+that the vectorized search replaced. Both must grow the same trees: the same
+(feature, threshold) at every split, the same leaf values, and bitwise-equal
+predictions.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from regrow.forest import _MIN_GAIN, RandomForestModel, _Node, train_random_forest
+
+
+def _oracle_split_regression(v, y, min_leaf):
+    order = np.argsort(v, kind="stable")
+    sv = v[order]
+    sy = y[order]
+    n = len(sv)
+    positions = np.arange(min_leaf, n - min_leaf + 1)
+    if len(positions) == 0:
+        return None
+    valid = positions[sv[positions - 1] < sv[positions]]
+    if len(valid) == 0:
+        return None
+    c1 = np.cumsum(sy)
+    c2 = np.cumsum(sy * sy)
+    n_l = valid.astype(np.float64)
+    s_l = c1[valid - 1]
+    q_l = c2[valid - 1]
+    n_r = n - n_l
+    s_r = c1[-1] - s_l
+    q_r = c2[-1] - q_l
+    cost = (q_l - s_l * s_l / n_l) + (q_r - s_r * s_r / n_r)
+    best = int(np.argmin(cost))
+    i = int(valid[best])
+    return float(cost[best]), 0.5 * (sv[i - 1] + sv[i])
+
+
+def _oracle_split_gini(v, onehot, min_leaf):
+    order = np.argsort(v, kind="stable")
+    sv = v[order]
+    n = len(sv)
+    positions = np.arange(min_leaf, n - min_leaf + 1)
+    if len(positions) == 0:
+        return None
+    valid = positions[sv[positions - 1] < sv[positions]]
+    if len(valid) == 0:
+        return None
+    counts = np.cumsum(onehot[order], axis=0)
+    left = counts[valid - 1]
+    right = counts[-1][None, :] - left
+    n_l = valid.astype(np.float64)
+    n_r = n - n_l
+    cost = n - (left * left).sum(axis=1) / n_l - (right * right).sum(axis=1) / n_r
+    best = int(np.argmin(cost))
+    i = int(valid[best])
+    return float(cost[best]), 0.5 * (sv[i - 1] + sv[i])
+
+
+def _oracle_grow(X, y, onehot, idx, depth, mode, max_depth, min_leaf, mtry, rng):
+    y_node = y[idx]
+
+    def leaf():
+        if mode == "regression":
+            return _Node(value=float(y_node.mean()))
+        return _Node(value=int(np.argmax(onehot[idx].sum(axis=0))))
+
+    if len(idx) < 2 * min_leaf or len(idx) < 2:
+        return leaf()
+    if max_depth is not None and depth >= max_depth:
+        return leaf()
+    if np.all(y_node == y_node[0]):
+        return leaf()
+    if mode == "regression":
+        s = y_node.sum()
+        parent_cost = float((y_node * y_node).sum() - s * s / len(idx))
+    else:
+        counts = onehot[idx].sum(axis=0)
+        parent_cost = float(len(idx) - (counts * counts).sum() / len(idx))
+
+    p = X.shape[1]
+    features = rng.choice(p, size=min(mtry, p), replace=False)
+    best = None
+    for f in features:
+        v = X[idx, f]
+        if mode == "regression":
+            found = _oracle_split_regression(v, y_node, min_leaf)
+        else:
+            found = _oracle_split_gini(v, onehot[idx], min_leaf)
+        if found is None:
+            continue
+        cost, threshold = found
+        if best is None or cost < best[0]:
+            best = (cost, int(f), threshold)
+    if best is None or parent_cost - best[0] <= _MIN_GAIN:
+        return leaf()
+
+    _, feature, threshold = best
+    mask = X[idx, feature] <= threshold
+    node = _Node()
+    node.feature = feature
+    node.threshold = threshold
+    args = (mode, max_depth, min_leaf, mtry, rng)
+    node.left = _oracle_grow(X, y, onehot, idx[mask], depth + 1, *args)
+    node.right = _oracle_grow(X, y, onehot, idx[~mask], depth + 1, *args)
+    return node
+
+
+def _oracle_forest(X, targets, n_trees, mode, seed, max_depth, min_leaf, mtry, bootstrap):
+    n, p = X.shape
+    classes = None
+    onehot = None
+    if mode == "classification":
+        classes = tuple(sorted(set(targets)))
+        y = np.array([classes.index(c) for c in targets], dtype=np.float64)
+        onehot = np.zeros((n, len(classes)))
+        onehot[np.arange(n), y.astype(int)] = 1.0
+    else:
+        y = np.asarray(targets, dtype=np.float64)
+    if mtry is None:
+        mtry = max(1, int(math.sqrt(p))) if mode == "classification" else max(1, math.ceil(p / 3))
+    trees = []
+    for t in range(n_trees):
+        rng = np.random.default_rng([seed, t])
+        idx = rng.integers(0, n, n) if bootstrap else np.arange(n)
+        trees.append(_oracle_grow(X, y, onehot, idx, 0, mode, max_depth, min_leaf, mtry, rng))
+    return RandomForestModel(mode=mode, trees=tuple(trees), classes=classes, n_features=p)
+
+
+def _preorder(node, out):
+    """Splits as (feature, threshold bits), leaves as (-1, value)."""
+    if node.feature < 0:
+        out.append((-1, node.value))
+    else:
+        out.append((node.feature, node.threshold.hex()))
+        _preorder(node.left, out)
+        _preorder(node.right, out)
+    return out
+
+
+@st.composite
+def forest_cases(draw):
+    mode = draw(st.sampled_from(["regression", "classification"]))
+    n = draw(st.integers(2, 40))
+    p = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # One or two decimals on a narrow range: many tied values per column.
+    decimals = draw(st.integers(1, 2))
+    X = np.round(rng.uniform(-1.0, 1.0, size=(n, p)), decimals)
+    for col in draw(st.sets(st.integers(0, p - 1), max_size=p)):
+        X[:, col] = X[0, col]
+    # Duplicate some input rows on top of the duplicates bootstrap draws.
+    n_dup = draw(st.integers(0, n // 2))
+    X[n - n_dup:] = X[:n_dup]
+    if mode == "classification":
+        k = draw(st.integers(2, 5))
+        targets = [f"c{c}" for c in rng.integers(0, k, n)]
+    else:
+        targets = np.round(rng.normal(size=n), decimals)
+        targets[n - n_dup:] = targets[:n_dup]
+    kwargs = dict(
+        mode=mode,
+        n_trees=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 1000)),
+        min_leaf=draw(st.sampled_from([1, 2, 3])),
+        max_depth=draw(st.sampled_from([None, 1, 3])),
+        mtry=draw(st.one_of(st.none(), st.integers(1, p))),
+        bootstrap=draw(st.booleans()),
+    )
+    probes = np.round(rng.uniform(-1.2, 1.2, size=(20, p)), decimals)
+    return X, targets, kwargs, probes
+
+
+@settings(max_examples=200, deadline=None)
+@given(forest_cases())
+def test_vectorized_splitter_grows_the_oracle_forest(case):
+    X, targets, kwargs, probes = case
+    new = train_random_forest(X, targets, **kwargs)
+    old = _oracle_forest(X, targets, **kwargs)
+    assert [_preorder(t, []) for t in new.trees] == [_preorder(t, []) for t in old.trees]
+    for rows in (X, probes):
+        got, want = new.predict(rows), old.predict(rows)
+        if kwargs["mode"] == "regression":
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert got == want

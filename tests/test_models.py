@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from regrow.errors import SingleClassError, TooFewPointsError
+from regrow.errors import InvalidValueError, SingleClassError, TooFewPointsError
 from regrow.forest import train_random_forest
 from regrow.linear_models import train_linear, train_logistic
 
@@ -148,3 +148,13 @@ class TestRandomForest:
     def test_too_few_rows(self):
         with pytest.raises(TooFewPointsError):
             train_random_forest(np.zeros((1, 2)), [1.0], n_trees=1)
+
+    @pytest.mark.parametrize(
+        "bad", [{"n_trees": 0}, {"n_trees": -2}, {"min_leaf": 0}, {"mtry": 0}]
+    )
+    @pytest.mark.parametrize("mode", ["regression", "classification"])
+    def test_non_positive_sizes_rejected(self, bad, mode):
+        X = np.arange(12.0).reshape(6, 2)
+        y = ["a", "b"] * 3 if mode == "classification" else np.arange(6.0)
+        with pytest.raises(InvalidValueError):
+            train_random_forest(X, y, mode=mode, **bad)

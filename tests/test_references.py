@@ -20,7 +20,9 @@ from regrow.errors import (
 )
 from regrow.geo import haversine_km
 from regrow.references import (
+    ReferenceSet,
     ReferenceYearPolicy,
+    SecondaryPoint,
     build_reference_set,
     classify_stability,
     detect_outliers,
@@ -155,6 +157,24 @@ class TestFindLocalReference:
         )
         site = make_site(embeddings={2020: vec(1.0, 0.0)}, centroid_lon=1.0, centroid_lat=1.0)
         assert find_local_reference(site, refset)[0] == "a"
+
+    def test_lookups_ignore_point_order(self):
+        # Built by hand, so the points are not sorted by id.
+        refset = ReferenceSet(
+            policy=ReferenceYearPolicy.fixed(),
+            global_ref=vec(1.0, 0.0),
+            centroids={SECONDARY_FOREST: vec(1.0, 0.0)},
+            secondary_points=(
+                SecondaryPoint("c", 1.0, 1.5, vec(0.0, 1.0)),
+                SecondaryPoint("b", 1.0, 1.0, vec(1.0, 1.0)),
+                SecondaryPoint("a", 1.0, 1.0, vec(1.0, 0.0)),
+            ),
+        )
+        site = make_site(embeddings={2020: vec(1.0, 0.0)}, centroid_lon=1.0, centroid_lat=1.0)
+        assert find_local_reference(site, refset) == ("a", 0.0)
+        assert refset.secondary_embedding("b") == vec(1.0, 1.0)
+        with pytest.raises(NoSecondaryForestPointsError):
+            refset.secondary_embedding("z")
 
 
 class TestHaversine:
