@@ -681,7 +681,8 @@ def main(argv=None) -> int:
         outputs.write_manifest(args.subcommand, settings, input_paths)
     except RegrowError as exc:
         outputs.discard()
-        print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
+        record = {"error": exc.code, "message": str(exc), "file": exc.file, "line": exc.line}
+        print(json.dumps(record), file=sys.stderr)
         return 1
     except OSError as exc:
         outputs.discard()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -60,6 +60,17 @@ class EmbeddingVector:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
+
+    @classmethod
+    def _trusted(cls, row: np.ndarray) -> "EmbeddingVector":
+        """Wrap ``row`` without copying or checking it.
+
+        For ingest only: ``row`` is a read-only 1-D float64 view of a matrix
+        whose shape and finiteness the caller checked once as a whole.
+        """
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "values", row)
+        return vec
 
     @property
     def dim(self) -> int:
@@ -402,16 +413,3 @@ def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
     if norm_a == 0.0 or norm_b == 0.0:
         raise ZeroVectorError("cosine similarity undefined for a zero vector")
     return float(np.dot(va, vb) / (norm_a * norm_b))
-
-
-def infer_dimension(vectors: Iterable[EmbeddingVector]) -> int:
-    """Return the common dimension of ``vectors``, raising on disagreement."""
-    dim = None
-    for v in vectors:
-        if dim is None:
-            dim = v.dim
-        elif v.dim != dim:
-            raise WrongDimensionError(f"mixed embedding dimensions: {dim} and {v.dim}")
-    if dim is None:
-        raise WrongDimensionError("no embedding vectors supplied")
-    return dim

@@ -13,10 +13,14 @@ import numpy as np
 
 
 def format_cell(value) -> str:
+    """Format one cell; a 1-D float ndarray fills one column per entry."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, np.ndarray):
+        # repr of each Python float, as for a scalar cell, in one pass
+        return ",".join(map(repr, value.tolist()))
     if isinstance(value, (np.floating, float)):
         return repr(float(value))
     if isinstance(value, (np.integer, int)):

@@ -1,8 +1,9 @@
 """Exception hierarchy for the regrow engine.
 
 Every error carries a short machine-readable ``code`` so the CLI can emit a
-structured error record. Parse-level errors additionally carry the 1-based
-line number of the offending CSV row.
+structured error record. Input errors additionally carry the file they were
+found in and the 1-based line number of the offending CSV row (line 1 is the
+header).
 """
 
 from __future__ import annotations
@@ -13,11 +14,25 @@ class RegrowError(Exception):
 
     code = "error"
 
-    def __init__(self, message: str, *, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
+    def __init__(self, message: str, *, line: int | None = None, file: str | None = None):
         super().__init__(message)
+        self.message = message
+        self.line = line
+        self.file = file
+
+    def locate(self, file, line: int | None) -> "RegrowError":
+        """Fill in the file and line this error was found at, where not yet known."""
+        if self.file is None:
+            self.file = str(file)
+        if self.line is None:
+            self.line = line
+        return self
+
+    def __str__(self) -> str:
+        where = [self.file] if self.file is not None else []
+        if self.line is not None:
+            where.append(f"line {self.line}")
+        return ": ".join([*where, self.message])
 
 
 class InvalidValueError(RegrowError):

@@ -438,7 +438,7 @@ def write_world(
         write_csv(
             out / "embeddings.csv",
             ["id", "year"] + [f"A{i:02d}" for i in range(dim or 0)],
-            ((rid, year, *emb.values) for rid, year, emb in emb_rows),
+            ((rid, year, emb.values) for rid, year, emb in emb_rows),
         )
     )
 
@@ -472,7 +472,7 @@ def write_world(
             out / "covariates.csv",
             ["id", "year", *CovariateSet.FIELD_NAMES],
             (
-                (s.site_id, year, *cov.as_array())
+                (s.site_id, year, cov.as_array())
                 for s in dataset.sites
                 for year, cov in s.covariates.items()
             ),

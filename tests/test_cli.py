@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -122,6 +123,24 @@ class TestErrors:
         assert code == 1
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert json.loads(line)["error"] == "invalid_value"
+        assert not out.exists() or not any(out.iterdir())
+
+
+    def test_non_finite_input_is_a_located_error_record(self, world_dir, tmp_path, capsys):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(world_dir, inputs)
+        path = inputs / "covariates.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[lines[0].split(",").index("elevation_m")] = "nan"
+        lines[3] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        code = run(["validate", "--inputs-dir", inputs, "--output-dir", out])
+        assert code == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        record = json.loads(line)
+        assert (record["error"], record["file"], record["line"]) == ("non_finite", str(path), 4)
         assert not out.exists() or not any(out.iterdir())
 
 

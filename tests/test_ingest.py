@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import random
+import shutil
 
 import pytest
 
 from regrow.core import LULCClass, Strategy
+from regrow import ingest
 from regrow.errors import (
+    CsvParseError,
     DuplicateKeyError,
     MissingColumnError,
     MissingYearColumnError,
+    NonFiniteError,
     UnknownStrategyError,
 )
 from regrow.ingest import (
@@ -123,6 +127,12 @@ class TestLoadReferencePoints:
         with pytest.raises(MissingYearColumnError):
             load_reference_points(path, {}, lulc_years=(2015, 2024))
 
+    def test_bad_year_column_is_a_located_parse_error(self, tmp_path):
+        path = reference_csv(tmp_path, ["2015", "20x5"], ["p1,-47.0,-22.0,9,9"])
+        with pytest.raises(CsvParseError) as err:
+            load_reference_points(path, {}, lulc_years=(2015, 2015))
+        assert (err.value.file, err.value.line) == (str(path), 1)
+
     def test_unmapped_code_becomes_other(self, tmp_path, caplog):
         years = range(2015, 2025)
         path = reference_csv(tmp_path, years, ["p1,-47.0,-22.0," + ",".join("99" for _ in years)])
@@ -221,3 +231,58 @@ class TestWorldRoundTrip:
             )[0]
 
         assert load(shuffled) == load(world_dir)
+
+
+def load_world(d):
+    return load_dataset(
+        d / "embeddings.csv", d / "sites.csv", d / "reference_points.csv",
+        d / "spectral.csv", d / "covariates.csv", d / "lulc_codes.csv",
+    )
+
+
+def set_cell(path, row, column, value) -> int:
+    """Overwrite one cell of data row ``row``; return its 1-based line."""
+    lines = path.read_text().splitlines()
+    fields = lines[row + 1].split(",")
+    fields[lines[0].split(",").index(column)] = value
+    lines[row + 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    return row + 2
+
+
+class TestLocatedErrors:
+    @pytest.mark.parametrize(
+        "name, column, value",
+        [
+            ("embeddings.csv", "A03", "inf"),
+            ("sites.csv", "lon", "nan"),
+            ("spectral.csv", "evi", "nan"),
+            ("covariates.csv", "elevation_m", "nan"),
+            ("reference_points.csv", "lat", "-inf"),
+        ],
+    )
+    def test_non_finite_cell_names_file_and_line(self, world_dir, tmp_path, name, column, value):
+        world = tmp_path / "world"
+        shutil.copytree(world_dir, world)
+        line = set_cell(world / name, 4, column, value)
+        with pytest.raises(NonFiniteError) as err:
+            load_world(world)
+        assert (err.value.file, err.value.line) == (str(world / name), line)
+        assert str(err.value).startswith(f"{world / name}: line {line}: ")
+
+    def test_non_utf8_file_is_a_located_parse_error(self, tmp_path):
+        path = embeddings_csv(tmp_path, ["s1,2020,0.1,0.2,0.3,0.4", "s2,2020,0.5,0.6,0.7,0.8"])
+        path.write_bytes(path.read_bytes().replace(b"0.7", b"0\xff7"))
+        with pytest.raises(CsvParseError) as err:
+            load_embeddings(path)
+        assert (err.value.file, err.value.line) == (str(path), 3)
+
+    def test_synth_world_is_parsed_in_bulk(self, small_world, world_dir, monkeypatch):
+        def cell_by_cell(*args):
+            raise AssertionError("numeric cell parsed one at a time")
+
+        monkeypatch.setattr(ingest, "_parse_float", cell_by_cell)
+        loaded, _ = load_world(world_dir)
+        assert loaded.sites == small_world[0].sites
+        embedding = next(iter(loaded.sites[0].embeddings.values())).values
+        assert not embedding.flags.writeable and not embedding.flags.owndata
