@@ -17,6 +17,7 @@ from .core import (
     Stability,
     StabilityKind,
     Strategy,
+    cosine_similarities,
     cosine_similarity,
     parse_strategy,
     validate_embedding,

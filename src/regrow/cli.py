@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from . import ingest
@@ -86,6 +87,14 @@ _DEFAULTS: dict[str, object] = {
     "baselines": True,
 }
 
+
+def _parse_bool(text: str) -> bool:
+    value = text.strip().lower()
+    if value not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return value == "true"
+
+
 _PARSERS = {
     "first_year": int, "last_year": int, "lulc_first_year": int, "lulc_last_year": int,
     "min_stable_years": int, "stability_end_year": int,
@@ -95,32 +104,38 @@ _PARSERS = {
     "t0": int, "n_trees": int, "seed": int, "threads": int,
     "min_area_ha": float,
     "start_year_min": int, "start_year_max": int,
-    "impute": lambda s: s if isinstance(s, bool) else s.strip().lower() == "true",
-    "baselines": lambda s: s if isinstance(s, bool) else s.strip().lower() == "true",
+    "impute": _parse_bool, "baselines": _parse_bool,
 }
 
 
-def _parse_config_file(path: str | Path) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _parse_config_file(path: str | Path) -> dict[str, tuple[str, int]]:
+    """Config values by key, each with the 1-based line it was set on."""
+    values: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise InvalidValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
+            raise InvalidValueError(
+                f"expected key = value, got {raw!r}", file=str(path), line=lineno
+            )
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in _DEFAULTS:
-            raise InvalidValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value.strip()
+            raise InvalidValueError(
+                f"unknown config key {key!r}", file=str(path), line=lineno
+            )
+        values[key] = (value.strip(), lineno)
     return values
 
 
 def _resolve_settings(args: argparse.Namespace) -> dict[str, object]:
     settings = dict(_DEFAULTS)
+    config_lines: dict[str, int] = {}  # keys whose value comes from the config file
     if getattr(args, "config", None):
-        for key, value in _parse_config_file(args.config).items():
+        for key, (value, lineno) in _parse_config_file(args.config).items():
             settings[key] = value
+            config_lines[key] = lineno
     inputs_dir = getattr(args, "inputs_dir", None)
     if inputs_dir:
         for key in _INPUT_KEYS:
@@ -132,14 +147,23 @@ def _resolve_settings(args: argparse.Namespace) -> dict[str, object]:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             settings[key] = flag_value
+            config_lines.pop(key, None)
+
+    def invalid(key: str, message: str) -> InvalidValueError:
+        if key in config_lines:
+            return InvalidValueError(message, file=str(args.config), line=config_lines[key])
+        return InvalidValueError(message)
+
     for key, parse in _PARSERS.items():
         if settings[key] is not None and not isinstance(settings[key], (int, float, bool)):
             try:
                 settings[key] = parse(settings[key])
             except ValueError:
-                raise InvalidValueError(f"bad value for {key}: {settings[key]!r}") from None
+                raise invalid(key, f"bad value for {key}: {settings[key]!r}") from None
     if settings["n_trees"] < 1:
-        raise InvalidValueError(f"n_trees must be at least 1, got {settings['n_trees']}")
+        raise invalid("n_trees", f"n_trees must be at least 1, got {settings['n_trees']}")
+    if settings["horizon"] < 0:
+        raise invalid("horizon", f"horizon must not be negative, got {settings['horizon']}")
     return settings
 
 
@@ -687,6 +711,16 @@ def main(argv=None) -> int:
     except OSError as exc:
         outputs.discard()
         print(json.dumps({"error": "io_error", "message": str(exc)}), file=sys.stderr)
+        return 1
+    except Exception as exc:
+        # A fault in regrow itself: clean up as for any error, and keep the traceback.
+        outputs.discard()
+        record = {
+            "error": "internal_error",
+            "message": f"{type(exc).__name__}: {exc}",
+            "traceback": traceback.format_exc(),
+        }
+        print(json.dumps(record), file=sys.stderr)
         return 1
     return 0
 

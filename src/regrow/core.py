@@ -398,6 +398,29 @@ def _check_coordinates(lon: float, lat: float):
         raise InvalidValueError(f"latitude out of range: {lat}")
 
 
+def cosine_similarities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine similarity (a.b)/(|a||b|) over the last axis, broadcasting the rest.
+
+    ``a`` of shape (..., d) and ``b`` of shape (..., d) give an array of the
+    broadcast shape of ``a.shape[:-1]`` and ``b.shape[:-1]``. Each entry is
+    bitwise equal to ``cosine_similarity`` of the same two vectors: on
+    C-contiguous rows ``np.vecdot`` and ``sqrt(np.vecdot(x, x))`` round as
+    ``np.dot`` and ``np.linalg.norm`` do (``a @ b`` and ``einsum`` do not).
+    Raises ZeroVectorError if any vector has zero norm and
+    WrongDimensionError if the last axes differ.
+    """
+    # Strided rows would reach BLAS with a stride and sum in another order.
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    if a.shape[-1] != b.shape[-1]:
+        raise WrongDimensionError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
+    norm_a = np.sqrt(np.vecdot(a, a))
+    norm_b = np.sqrt(np.vecdot(b, b))
+    if not (norm_a.all() and norm_b.all()):
+        raise ZeroVectorError("cosine similarity undefined for a zero vector")
+    return np.vecdot(a, b) / (norm_a * norm_b)
+
+
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
     """Cosine similarity (a.b)/(|a||b|) of two same-dimension vectors.
 
@@ -405,11 +428,4 @@ def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
     ZeroVectorError if either vector has zero norm and WrongDimensionError
     on a dimension mismatch.
     """
-    if a.dim != b.dim:
-        raise WrongDimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    va, vb = a.values, b.values
-    norm_a = float(np.linalg.norm(va))
-    norm_b = float(np.linalg.norm(vb))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ZeroVectorError("cosine similarity undefined for a zero vector")
-    return float(np.dot(va, vb) / (norm_a * norm_b))
+    return float(cosine_similarities(a.values, b.values))

@@ -76,14 +76,24 @@ def trajectory_paths_2d(
     records: Sequence[ReferencePoint | SiteRecord], model: ProjectionModel
 ) -> list[tuple[str, int, float, float]]:
     """Per-year projected coordinates, sorted by (id, year)."""
-    rows = []
+    dim = model.mean.dim
+    ids, years, embs = [], [], []
     for rec in records:
         rec_id = rec.point_id if isinstance(rec, ReferencePoint) else rec.site_id
         for year, emb in rec.embeddings.items():
-            x, y = project(model, emb)
-            rows.append((rec_id, year, x, y))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return rows
+            if emb.dim != dim:
+                raise WrongDimensionError(f"dimension mismatch: {emb.dim} vs {dim}")
+            ids.append(rec_id)
+            years.append(year)
+            embs.append(emb.values)
+    if not embs:
+        return []
+    # vecdot over C-contiguous rows rounds as the np.dot of ``project``.
+    centered = np.array(embs)
+    centered -= model.mean.values
+    xs = np.vecdot(centered, model.components[0].values).tolist()
+    ys = np.vecdot(centered, model.components[1].values).tolist()
+    return sorted(zip(ids, years, xs, ys), key=lambda r: (r[0], r[1]))
 
 
 def silhouette_score(
@@ -104,23 +114,29 @@ def silhouette_score(
     if np.any(norms == 0.0):
         raise ZeroVectorError("cosine distance undefined for a zero vector")
     unit = X / norms[:, None]
-    dist = np.clip(1.0 - unit @ unit.T, 0.0, 2.0)
+    dist = unit @ unit.T
+    np.subtract(1.0, dist, out=dist)
+    np.clip(dist, 0.0, 2.0, out=dist)
 
-    labels_arr = np.asarray(labels)
-    unique = sorted(set(labels))
-    masks = {lab: labels_arr == lab for lab in unique}
+    unique, label_idx = np.unique(np.asarray(labels), return_inverse=True)
+    counts = np.bincount(label_idx)
+    # sums[i, k]: summed distance from point i to the members of label k.
+    # Row sums of the C-contiguous compressed block are bitwise equal to the
+    # 1-D sums dist[i, mask].sum().
+    sums = np.empty((len(labels), len(unique)))
+    for k in range(len(unique)):
+        sums[:, k] = dist.compress(label_idx == k, axis=1).sum(axis=1)
+    rows = np.arange(len(labels))
+    own_sum = sums[rows, label_idx]
+    means = sums / counts
+    means[rows, label_idx] = np.inf
+    b = means.min(axis=1)
+
+    n_own = counts[label_idx]
+    multi = n_own > 1  # singletons score 0
+    a = own_sum[multi] / (n_own[multi] - 1)
+    b = b[multi]
+    denom = np.maximum(a, b)
     scores = np.zeros(len(labels))
-    for i in range(len(labels)):
-        own = masks[labels_arr[i]]
-        n_own = int(own.sum())
-        if n_own <= 1:
-            continue  # singleton: silhouette 0
-        a = dist[i, own].sum() / (n_own - 1)
-        b = min(
-            float(dist[i, masks[lab]].mean())
-            for lab in unique
-            if lab != labels_arr[i]
-        )
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    scores[multi] = np.divide(b - a, denom, out=np.zeros_like(a), where=denom != 0.0)
     return float(scores.mean())

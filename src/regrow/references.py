@@ -22,7 +22,7 @@ from .core import (
     SiteRecord,
     Stability,
     StabilityKind,
-    cosine_similarity,
+    cosine_similarities,
 )
 from .errors import (
     InsufficientSeriesError,
@@ -278,7 +278,10 @@ def find_local_reference(site: SiteRecord, refset: ReferenceSet) -> tuple[str, f
         raise NoSecondaryForestPointsError("reference set has no secondary points")
     ids, lons, lats = refset._secondary_coords
     dists = haversine_km_many(site.centroid_lon, site.centroid_lat, lons, lats)
-    best = int(np.lexsort((ids, dists))[0])
+    best = int(dists.argmin())
+    tied = np.flatnonzero(dists == dists[best])
+    if len(tied) > 1:
+        best = int(tied[ids[tied].argmin()])
     return pts[best].point_id, float(dists[best])
 
 
@@ -299,16 +302,20 @@ def detect_outliers(
     if centroid is None:
         raise NoCentroidForClassError(f"no centroid for class {lulc.label}")
     year = refset.policy.year
+    if metric not in ("cosine", "euclidean"):
+        raise InvalidValueError(f"unknown outlier metric {metric!r}")
     members = _stable_members_by_class(points, year).get(lulc, [])
-    scored: list[tuple[str, float]] = []
-    for pid, p in members:
-        emb = p.embeddings[year]
-        if metric == "cosine":
-            dist = 1.0 - cosine_similarity(emb, centroid)
-        elif metric == "euclidean":
-            dist = float(np.linalg.norm(emb.values - centroid.values))
-        else:
-            raise InvalidValueError(f"unknown outlier metric {metric!r}")
-        scored.append((pid, dist))
-    scored.sort(key=lambda item: (-item[1], item[0]))
+    if not members:
+        return OutlierReport(lulc=lulc, metric=metric, ranked=())
+    emb = np.stack([p.embeddings[year].values for _, p in members])
+    if metric == "cosine":
+        dists = 1.0 - cosine_similarities(emb, centroid.values)
+    else:
+        diff = emb - centroid.values
+        # Row norms as sqrt(vecdot), which rounds as np.linalg.norm of each row.
+        dists = np.sqrt(np.vecdot(diff, diff))
+    scored = sorted(
+        zip([pid for pid, _ in members], dists.tolist()),
+        key=lambda item: (-item[1], item[0]),
+    )
     return OutlierReport(lulc=lulc, metric=metric, ranked=tuple(scored[: max(top_k, 0)]))

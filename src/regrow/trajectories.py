@@ -8,20 +8,21 @@ alignment, and per-year nearest-class change detection.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .core import (
+    EmbeddingVector,
     LULCClass,
     PASTURE,
     PRIMARY_FOREST,
     ReferencePoint,
     SiteRecord,
     StabilityKind,
+    cosine_similarities,
     cosine_similarity,
 )
 from .errors import (
@@ -151,22 +152,21 @@ def build_trajectory(
     if kind is ReferenceKind.LOCAL:
         point_id, _ = find_local_reference(site, refset)
 
-    samples = []
-    for year in years:
-        if kind is ReferenceKind.GLOBAL:
-            ref = refset.global_reference(year)
-        else:
-            ref = refset.secondary_embedding(point_id, year)
-        s = cosine_similarity(site.embeddings[year], ref)
-        samples.append(
-            TrajectorySample(year=year, delta_t=site.delta_t(year), similarity=_clamp(s))
-        )
+    if kind is ReferenceKind.GLOBAL:
+        refs = [refset.global_reference(year) for year in years]
+    else:
+        refs = [refset.secondary_embedding(point_id, year) for year in years]
+    sims = cosine_similarities(_matrix(site.embeddings.values()), _matrix(refs))
+    samples = tuple(
+        TrajectorySample(year=year, delta_t=site.delta_t(year), similarity=_clamp(s))
+        for year, s in zip(years, sims.tolist())
+    )
     improvement, degenerate = _score_improvement(samples)
     return SimilarityTrajectory(
         site_id=site.site_id,
         reference=kind,
         reference_point_id=point_id,
-        samples=tuple(samples),
+        samples=samples,
         improvement=improvement,
         degenerate=degenerate,
     )
@@ -174,6 +174,11 @@ def build_trajectory(
 
 def _clamp(s: float) -> float:
     return min(1.0, max(-1.0, s))
+
+
+def _matrix(vectors: Iterable[EmbeddingVector]) -> np.ndarray:
+    """The vectors as the rows of one (n, dim) matrix."""
+    return np.array([v.values for v in vectors])
 
 
 def compute_baselines(
@@ -199,7 +204,7 @@ def compute_baselines(
             raise MissingBaselineClassError(
                 f"no stable {target.label} point with an embedding for year {year}"
             )
-        sims = np.array([cosine_similarity(p.embeddings[year], ref) for p in members])
+        sims = cosine_similarities(_matrix(p.embeddings[year] for p in members), ref.values)
         return _clamp(float(sims.mean()))
 
     return BaselineBand(upper=band(PRIMARY_FOREST), lower=band(PASTURE))
@@ -303,31 +308,33 @@ def classify_trajectory(site: SiteRecord, refset: ReferenceSet) -> ClassTrajecto
             f"need at least 2 class centroids, have {len(refset.centroids)}"
         )
 
-    samples: list[tuple[int, LULCClass, float]] = []
-    for year in years:
-        centroids = refset.class_centroids(year)
-        if len(centroids) < 2:
+    tables = [refset.class_centroids(year) for year in years]
+    for year, table in zip(years, tables):
+        if len(table) < 2:
             raise TooFewCentroidsError(f"fewer than 2 class centroids for year {year}")
-        best_cls = None
-        best_sim = -math.inf
-        for cls in sorted(centroids, key=lambda c: c.label):
-            sim = cosine_similarity(site.embeddings[year], centroids[cls])
-            if sim > best_sim:
-                best_cls, best_sim = cls, sim
-        samples.append((year, best_cls, _clamp(best_sim)))
+    emb = _matrix(site.embeddings.values())
+    # One (years x classes) call when every year reads the same table (the
+    # fixed policy), else one call per year.
+    if all(table is tables[0] for table in tables):
+        groups = [(emb, tables[0])]
+    else:
+        groups = [(emb[i : i + 1], table) for i, table in enumerate(tables)]
+    nearest: list[tuple[LULCClass, float]] = []
+    for rows, table in groups:
+        classes = sorted(table, key=lambda c: c.label)
+        sims = cosine_similarities(rows[:, None, :], _matrix(table[c] for c in classes))
+        # argmax keeps the first of equal maxima: ties go to the smaller label.
+        best = [classes[j] for j in sims.argmax(axis=1).tolist()]
+        nearest.extend(zip(best, sims.max(axis=1).tolist()))
+    samples = [(year, cls, _clamp(sim)) for year, (cls, sim) in zip(years, nearest)]
 
     transitions = [
         (curr[0], prev[1], curr[1])
         for prev, curr in zip(samples, samples[1:])
         if curr[1] != prev[1]
     ]
-    magnitudes = [
-        (
-            curr,
-            max(0.0, 1.0 - cosine_similarity(site.embeddings[prev], site.embeddings[curr])),
-        )
-        for prev, curr in zip(years, years[1:])
-    ]
+    steps = (1.0 - cosine_similarities(emb[:-1], emb[1:])).tolist()
+    magnitudes = [(curr, max(0.0, step)) for curr, step in zip(years[1:], steps)]
     return ClassTrajectory(
         site_id=site.site_id,
         samples=tuple(samples),

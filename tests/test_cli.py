@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from regrow import cli
 from regrow.cli import main
 
 
@@ -111,6 +112,79 @@ class TestErrors:
         assert code == 1
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "invalid_value"
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("no_such = 1\n", 1), ("# comment\n\nseed = 3\nno_such = 1\n", 4),
+         ("seed = 3\nnot a pair\n", 2)],
+    )
+    def test_config_file_errors_name_file_and_line(self, tmp_path, capsys, text, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        code = run(["validate", "--config", cfg, "--output-dir", tmp_path / "o"])
+        assert code == 1
+        (out,) = capsys.readouterr().err.strip().splitlines()
+        record = json.loads(out)
+        assert (record["error"], record["file"], record["line"]) == (
+            "invalid_value", str(cfg), line
+        )
+
+    @pytest.mark.parametrize("value", ["yes", "1", "no", "", "truthy"])
+    def test_config_bool_must_be_true_or_false(self, world_dir, tmp_path, capsys, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = 1\nimpute = {value}\n")
+        out = tmp_path / "o"
+        code = run(["validate", "--inputs-dir", world_dir, "--config", cfg, "--output-dir", out])
+        assert code == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        record = json.loads(line)
+        assert (record["error"], record["file"], record["line"]) == ("invalid_value", str(cfg), 2)
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_config_bool_is_case_insensitive(self, world_dir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("impute = FALSE\nbaselines = True\n")
+        out = tmp_path / "o"
+        assert run([
+            "validate", "--inputs-dir", world_dir, "--config", cfg, "--output-dir", out,
+        ]) == 0
+        config = json.loads((out / "manifest_validate.json").read_text())["config"]
+        assert (config["impute"], config["baselines"]) == ("False", "True")
+
+    def test_negative_horizon_rejected_without_outputs(self, world_dir, tmp_path, capsys):
+        out = tmp_path / "pred"
+        code = run(["predict", "--inputs-dir", world_dir, "--output-dir", out, "--horizon", "-9"])
+        assert code == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        record = json.loads(line)
+        assert record["error"] == "invalid_value"
+        assert "horizon" in record["message"]
+        assert not out.exists() or not any(out.iterdir())
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("folds = 3\nhorizon = -1\n")
+        code = run(["predict", "--inputs-dir", world_dir, "--output-dir", out, "--config", cfg])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert (record["error"], record["file"], record["line"]) == ("invalid_value", str(cfg), 2)
+
+    def test_unexpected_exception_is_an_internal_error_record(
+        self, world_dir, tmp_path, capsys, monkeypatch
+    ):
+        def broken_report(args, settings, outputs):
+            outputs.write_csv("partial.csv", ["a"], [(1,)])
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._HANDLERS, "report", broken_report)
+        out = tmp_path / "report"
+        code = run(["report", "--inputs-dir", world_dir, "--output-dir", out])
+        assert code == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        record = json.loads(line)
+        assert record["error"] == "internal_error"
+        assert record["message"] == "RuntimeError: boom"
+        assert "broken_report" in record["traceback"]
+        assert not any(out.iterdir())
 
     @pytest.mark.parametrize("n_trees", ["0", "-3"])
     def test_non_positive_tree_count_rejected_without_outputs(
