@@ -81,7 +81,7 @@ _DEFAULTS: dict[str, object] = {
     "impute": True,
     "n_trees": 100,
     "seed": 0,
-    "threads": 1,
+    "threads": None,  # None: every available core
     "reference_kind": "global",
     "aggregate": "",
     "baselines": True,
@@ -164,6 +164,14 @@ def _resolve_settings(args: argparse.Namespace) -> dict[str, object]:
         raise invalid("n_trees", f"n_trees must be at least 1, got {settings['n_trees']}")
     if settings["horizon"] < 0:
         raise invalid("horizon", f"horizon must not be negative, got {settings['horizon']}")
+    if settings["folds"] < 2:
+        raise invalid("folds", f"folds must be at least 2, got {settings['folds']}")
+    if settings["outlier_top_k"] < 0:
+        raise invalid(
+            "outlier_top_k", f"outlier_top_k must not be negative, got {settings['outlier_top_k']}"
+        )
+    if settings["threads"] is not None and settings["threads"] < 1:
+        raise invalid("threads", f"threads must be at least 1, got {settings['threads']}")
     return settings
 
 
@@ -194,6 +202,8 @@ class RunOutputs:
             path.unlink(missing_ok=True)
 
     def write_manifest(self, subcommand: str, settings: dict, input_paths: list[str]):
+        # The worker cap changes how a run executes, never what it writes.
+        settings = {k: v for k, v in settings.items() if k != "threads"}
         config_text = "\n".join(
             f"{k}={settings[k]}" for k in sorted(settings) if settings[k] is not None
         )
@@ -538,6 +548,7 @@ def _cmd_predict(args, settings, outputs: RunOutputs) -> list[str]:
             t0=settings["t0"],
             mean_impute=bool(settings["impute"]),
             n_trees=settings["n_trees"],
+            threads=settings["threads"],
         )
         for res in results:
             for fm in res.per_fold:
@@ -617,7 +628,8 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--threads", type=int, default=None,
-                        help="parallelism cap (results are thread-count invariant)")
+                        help="cap on worker processes (default: every available core; "
+                        "results do not depend on it)")
     parser.add_argument("--output-dir", required=True)
     parser.add_argument("--inputs-dir",
                         help="directory holding the standard input CSV filenames")
@@ -710,7 +722,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         outputs.discard()
-        print(json.dumps({"error": "io_error", "message": str(exc)}), file=sys.stderr)
+        file = None if exc.filename is None else str(exc.filename)
+        record = {"error": "io_error", "message": str(exc), "file": file, "line": None}
+        print(json.dumps(record), file=sys.stderr)
         return 1
     except Exception as exc:
         # A fault in regrow itself: clean up as for any error, and keep the traceback.

@@ -9,6 +9,7 @@ standardization/imputation statistics computed on training folds only.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
@@ -279,6 +280,7 @@ def evaluate(
     t0: int = 0,
     mean_impute: bool = True,
     n_trees: int = 100,
+    threads: int | None = None,
 ) -> list[PredictionTaskResult]:
     """Spatial cross-validation over every (model, feature_set) pair.
 
@@ -286,15 +288,23 @@ def evaluate(
     Imputation means come from training rows only. Test folds left with no
     usable site are skipped and reported; if every fold is skipped the run
     fails with FoldTooSmallError.
+
+    Each fit has its own seed and shares nothing with the others, so the
+    fits run on up to ``threads`` worker processes (None: every available
+    core) and the results do not depend on the worker count.
     """
     for model in models:
         if model not in _VALID_MODELS[task]:
             raise InvalidValueError(f"model {model.value} cannot target task {task.value}")
     if folds.k < 2:
         raise FoldTooSmallError("cross-validation needs at least 2 folds")
+    if threads is not None and threads < 1:
+        raise InvalidValueError(f"threads must be at least 1, got {threads}")
 
+    # Plan every fit, then run them all, then score them in the plan's order.
     regression = task is Task.FUTURE_SIMILARITY
-    results = []
+    plans = []  # (model, fs, excluded, skipped, label alphabet, per-fold (fold, n_train, y_test))
+    jobs = []  # _fit_predict arguments, one tuple per planned fold
     for model in models:
         for fs in feature_sets:
             ids, X_all, y_all, excluded = assemble_design(
@@ -307,7 +317,7 @@ def evaluate(
             y = [y_all[i] for i in keep]
             fold_of = np.array([folds.assignment[ids[i]] for i in keep])
             label_alphabet = sorted(set(y)) if not regression else []
-            per_fold: list[FoldMetrics] = []
+            fold_plans = []
             skipped: list[int] = []
             for fold in range(folds.k):
                 test_mask = fold_of == fold
@@ -331,50 +341,103 @@ def evaluate(
                         ),
                     ).generate_state(1)[0]
                 )
-                y_pred = _fit_predict(model, task, X_train, y_train, X_test, child_seed, n_trees)
-                if regression:
-                    metrics = {
-                        "r2": r_squared(np.asarray(y_test), np.asarray(y_pred)),
-                        "mae": mean_absolute_error(np.asarray(y_test), np.asarray(y_pred)),
-                    }
-                else:
-                    metrics = {
-                        "accuracy": accuracy(y_test, y_pred),
-                        "macro_f1": macro_f1(y_test, y_pred, label_alphabet),
-                    }
-                per_fold.append(
-                    FoldMetrics(
-                        fold=fold,
-                        n_train=int(train_mask.sum()),
-                        n_test=int(test_mask.sum()),
-                        metrics=metrics,
-                    )
-                )
-            if not per_fold:
+                jobs.append((model, task, X_train, y_train, X_test, child_seed, n_trees))
+                fold_plans.append((fold, int(train_mask.sum()), y_test))
+            if not fold_plans:
                 raise FoldTooSmallError(
                     f"every fold was skipped for {model.value}/{fs.value}"
                 )
-            if skipped:
-                log.warning(
-                    "skipped fold(s) %s for %s/%s/%s",
-                    skipped, task.value, model.value, fs.value,
-                )
-            aggregate = {}
-            for name in per_fold[0].metrics:
-                vals = np.array([fm.metrics[name] for fm in per_fold])
-                aggregate[name] = (float(vals.mean()), float(vals.std()))
-            results.append(
-                PredictionTaskResult(
-                    task=task,
-                    model=model,
-                    feature_set=fs,
-                    per_fold=tuple(per_fold),
-                    aggregate=aggregate,
-                    skipped_folds=tuple(skipped),
-                    excluded_sites=tuple(excluded),
-                )
+            plans.append((model, fs, excluded, skipped, label_alphabet, fold_plans))
+
+    predictions = iter(_run_jobs(jobs, threads))
+    results = []
+    for model, fs, excluded, skipped, label_alphabet, fold_plans in plans:
+        per_fold: list[FoldMetrics] = []
+        for fold, n_train, y_test in fold_plans:
+            y_pred = next(predictions)
+            if regression:
+                metrics = {
+                    "r2": r_squared(np.asarray(y_test), np.asarray(y_pred)),
+                    "mae": mean_absolute_error(np.asarray(y_test), np.asarray(y_pred)),
+                }
+            else:
+                metrics = {
+                    "accuracy": accuracy(y_test, y_pred),
+                    "macro_f1": macro_f1(y_test, y_pred, label_alphabet),
+                }
+            per_fold.append(
+                FoldMetrics(fold=fold, n_train=n_train, n_test=len(y_test), metrics=metrics)
             )
+        if skipped:
+            log.warning(
+                "skipped fold(s) %s for %s/%s/%s",
+                skipped, task.value, model.value, fs.value,
+            )
+        aggregate = {}
+        for name in per_fold[0].metrics:
+            vals = np.array([fm.metrics[name] for fm in per_fold])
+            aggregate[name] = (float(vals.mean()), float(vals.std()))
+        results.append(
+            PredictionTaskResult(
+                task=task,
+                model=model,
+                feature_set=fs,
+                per_fold=tuple(per_fold),
+                aggregate=aggregate,
+                skipped_folds=tuple(skipped),
+                excluded_sites=tuple(excluded),
+            )
+        )
     return results
+
+
+def _available_cores() -> int:
+    """Cores this process may run on; 1 where the platform cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _worker_count(threads: int | None, n_jobs: int) -> int:
+    """Worker processes for ``n_jobs`` fits: never more than the cap, the
+    available cores or the jobs."""
+    cores = _available_cores()
+    return max(1, min(cores if threads is None else threads, cores, n_jobs))
+
+
+def _run_job(job: tuple):
+    """One fit in a worker. An error comes back as a value, so the caller can
+    raise the one the serial order would have raised first."""
+    try:
+        return _fit_predict(*job), None
+    except Exception as exc:
+        return None, exc
+
+
+def _run_jobs(jobs: list[tuple], threads: int | None) -> list:
+    """Predictions of every ``_fit_predict`` job, in job order.
+
+    With one worker the jobs run here, in order. Otherwise they run on a
+    pool, random-forest jobs (the slow ones) first, one at a time per worker
+    so the pool stays balanced. The pool forks: a spawned worker would import
+    numpy and regrow again, which costs about as much as a forest fit.
+    """
+    workers = _worker_count(threads, len(jobs))
+    if workers == 1:
+        return [_fit_predict(*job) for job in jobs]
+
+    import multiprocessing  # only here: every other command skips the import cost
+
+    order = sorted(range(len(jobs)), key=lambda i: jobs[i][0] is not ModelKind.RANDOM_FOREST)
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        outcomes = dict(zip(order, pool.map(_run_job, [jobs[i] for i in order], chunksize=1)))
+    predictions = []
+    for i in range(len(jobs)):
+        y_pred, exc = outcomes[i]
+        if exc is not None:
+            raise exc
+        predictions.append(y_pred)
+    return predictions
 
 
 def _impute(X_train: np.ndarray, X_test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
