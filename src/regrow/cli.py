@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -107,6 +108,13 @@ _PARSERS = {
     "impute": _parse_bool, "baselines": _parse_bool,
 }
 
+#: Allowed values of the enumerated settings, for their flags and config lines.
+_CHOICES = {
+    "reference_kind": ("global", "local", "both"),
+    "aggregate": tuple(g.value for g in GroupBy),
+    "outlier_metric": ("cosine", "euclidean"),
+}
+
 
 def _parse_config_file(path: str | Path) -> dict[str, tuple[str, int]]:
     """Config values by key, each with the 1-based line it was set on."""
@@ -160,6 +168,14 @@ def _resolve_settings(args: argparse.Namespace) -> dict[str, object]:
                 settings[key] = parse(settings[key])
             except ValueError:
                 raise invalid(key, f"bad value for {key}: {settings[key]!r}") from None
+        if parse is float and not math.isfinite(settings[key]):
+            raise invalid(key, f"{key} must be finite, got {settings[key]!r}")
+    for key, allowed in _CHOICES.items():
+        # The default is always allowed: "" for aggregate means no aggregation.
+        if settings[key] != _DEFAULTS[key] and settings[key] not in allowed:
+            raise invalid(
+                key, f"{key} must be one of {', '.join(allowed)}; got {settings[key]!r}"
+            )
     if settings["n_trees"] < 1:
         raise invalid("n_trees", f"n_trees must be at least 1, got {settings['n_trees']}")
     if settings["horizon"] < 0:
@@ -672,15 +688,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference-policy", dest="reference_policy", default=None)
     p.add_argument("--reference-year", dest="reference_year", type=int, default=None)
     p.add_argument("--outlier-metric", dest="outlier_metric",
-                   choices=["cosine", "euclidean"], default=None)
+                   choices=_CHOICES["outlier_metric"], default=None)
     p.add_argument("--outlier-top-k", dest="outlier_top_k", type=int, default=None)
 
     p = sub.add_parser("trajectories", help="similarity trajectories, aggregates, baselines")
     _add_common(p)
     p.add_argument("--reference", dest="reference_kind",
-                   choices=["global", "local", "both"], default=None)
-    p.add_argument("--aggregate", dest="aggregate",
-                   choices=[g.value for g in GroupBy], default=None)
+                   choices=_CHOICES["reference_kind"], default=None)
+    p.add_argument("--aggregate", dest="aggregate", choices=_CHOICES["aggregate"], default=None)
     p.add_argument("--no-baselines", dest="baselines", action="store_false", default=None)
     p.add_argument("--reference-policy", dest="reference_policy", default=None)
     p.add_argument("--reference-year", dest="reference_year", type=int, default=None)

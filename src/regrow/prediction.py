@@ -444,8 +444,12 @@ def _impute(X_train: np.ndarray, X_test: np.ndarray) -> tuple[np.ndarray, np.nda
     """Replace NaNs with training-fold column means (0 for all-NaN columns)."""
     X_train = X_train.copy()
     X_test = X_test.copy()
-    with np.errstate(invalid="ignore"):
-        means = np.nanmean(X_train, axis=0)
+    # nanmean's own arithmetic (a sum with NaNs as 0, over the count), without
+    # its "Mean of empty slice" warning for an all-NaN column.
+    missing = np.isnan(X_train)
+    count = (~missing).sum(axis=0)
+    total = np.where(missing, 0.0, X_train).sum(axis=0)
+    means = np.divide(total, count, out=np.zeros(len(total)), where=count > 0)
     means = np.where(np.isfinite(means), means, 0.0)
     for X in (X_train, X_test):
         nan_rows, nan_cols = np.nonzero(np.isnan(X))

@@ -1,9 +1,9 @@
-"""The vectorized forest splitter against the per-feature reference splitter.
+"""The lockstep forest against the per-feature, per-node reference forest.
 
-The oracle below is the one-feature-at-a-time split search and node loop
-that the vectorized search replaced. Both must grow the same trees: the same
-(feature, threshold) at every split, the same leaf values, and bitwise-equal
-predictions.
+The oracle below is the recursive one-feature-at-a-time split search, node
+class and per-row prediction walk that the batched search and the flat trees
+replaced. Both must grow the same trees: the same (feature, threshold) at
+every split, the same leaf values, and bitwise-equal predictions.
 """
 
 from __future__ import annotations
@@ -14,7 +14,44 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regrow.forest import _MIN_GAIN, RandomForestModel, _Node, train_random_forest
+from regrow.forest import _MIN_GAIN, train_random_forest
+
+
+class _Node:
+    __slots__ = ("feature", "threshold", "left", "right", "value")
+
+    def __init__(self, value=None):
+        self.feature = -1
+        self.threshold = 0.0
+        self.left = None
+        self.right = None
+        self.value = value
+
+
+def _predict_tree(node, row):
+    while node.feature >= 0:
+        node = node.left if row[node.feature] <= node.threshold else node.right
+    return node.value
+
+
+class _OracleForest:
+    """The reference model: a per-row walk of each tree, tree by tree."""
+
+    def __init__(self, mode, trees, classes):
+        self.mode, self.trees, self.classes = mode, trees, classes
+
+    def predict(self, X):
+        X = np.asarray(X, dtype=np.float64)
+        if self.mode == "regression":
+            preds = np.zeros(len(X))
+            for tree in self.trees:
+                preds += [_predict_tree(tree, row) for row in X]
+            return preds / len(self.trees)
+        votes = np.zeros((len(X), len(self.classes)), dtype=np.int64)
+        for tree in self.trees:
+            for i, row in enumerate(X):
+                votes[i, _predict_tree(tree, row)] += 1
+        return [self.classes[i] for i in votes.argmax(axis=1)]
 
 
 def _oracle_split_regression(v, y, min_leaf):
@@ -112,7 +149,9 @@ def _oracle_grow(X, y, onehot, idx, depth, mode, max_depth, min_leaf, mtry, rng)
     return node
 
 
-def _oracle_forest(X, targets, n_trees, mode, seed, max_depth, min_leaf, mtry, bootstrap):
+def _oracle_forest(X, targets, n_trees, mode, seed, max_depth, min_leaf, mtry, bootstrap,
+                   only=None):
+    """The oracle's forest; ``only`` grows just those tree indices."""
     n, p = X.shape
     classes = None
     onehot = None
@@ -126,11 +165,22 @@ def _oracle_forest(X, targets, n_trees, mode, seed, max_depth, min_leaf, mtry, b
     if mtry is None:
         mtry = max(1, int(math.sqrt(p))) if mode == "classification" else max(1, math.ceil(p / 3))
     trees = []
-    for t in range(n_trees):
+    for t in range(n_trees) if only is None else only:
         rng = np.random.default_rng([seed, t])
         idx = rng.integers(0, n, n) if bootstrap else np.arange(n)
         trees.append(_oracle_grow(X, y, onehot, idx, 0, mode, max_depth, min_leaf, mtry, rng))
-    return RandomForestModel(mode=mode, trees=tuple(trees), classes=classes, n_features=p)
+    return _OracleForest(mode, trees, classes)
+
+
+def _as_node(tree, i=0):
+    """A flat ``regrow.forest.Tree`` as linked oracle nodes."""
+    node = _Node(value=tree.value[i].item())
+    node.feature = int(tree.feature[i])
+    if node.feature >= 0:
+        node.threshold = float(tree.threshold[i])
+        node.left = _as_node(tree, tree.left[i])
+        node.right = _as_node(tree, tree.right[i])
+    return node
 
 
 def _preorder(node, out):
@@ -183,7 +233,7 @@ def test_vectorized_splitter_grows_the_oracle_forest(case):
     X, targets, kwargs, probes = case
     new = train_random_forest(X, targets, **kwargs)
     old = _oracle_forest(X, targets, **kwargs)
-    assert [_preorder(t, []) for t in new.trees] == [_preorder(t, []) for t in old.trees]
+    assert [_preorder(_as_node(t), []) for t in new.trees] == [_preorder(t, []) for t in old.trees]
     for rows in (X, probes):
         got, want = new.predict(rows), old.predict(rows)
         if kwargs["mode"] == "regression":
