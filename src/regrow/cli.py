@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import traceback
+from enum import Enum
 from pathlib import Path
 
 from . import ingest
@@ -113,7 +114,37 @@ _CHOICES = {
     "reference_kind": ("global", "local", "both"),
     "aggregate": tuple(g.value for g in GroupBy),
     "outlier_metric": ("cosine", "euclidean"),
+    "reference_policy": ("fixed", "per_year"),
 }
+
+#: Settings that name one or more members of an enum, comma-separated.
+_ENUM_LISTS = {"feature_sets": FeatureSet, "models": ModelKind}
+
+#: Year windows as (first, last) settings; first must not be after last.
+_WINDOWS = (
+    ("first_year", "last_year"),
+    ("lulc_first_year", "lulc_last_year"),
+    ("start_year_min", "start_year_max"),
+    ("change_from_first", "change_from_last"),
+    ("change_to_first", "change_to_last"),
+)
+
+
+def _parse_enum_list(text: str, enum: type[Enum]) -> list:
+    """Members of ``enum`` named in the comma-separated ``text``."""
+    members = []
+    for token in str(text).split(","):
+        token = token.strip()
+        if not token:
+            continue
+        try:
+            members.append(enum(token))
+        except ValueError:
+            valid = ", ".join(m.value for m in enum)
+            raise ValueError(f"unknown value {token!r} (valid: {valid})") from None
+    if not members:
+        raise ValueError("nothing selected")
+    return members
 
 
 def _parse_config_file(path: str | Path) -> dict[str, tuple[str, int]]:
@@ -138,12 +169,19 @@ def _parse_config_file(path: str | Path) -> dict[str, tuple[str, int]]:
 
 
 def _resolve_settings(args: argparse.Namespace) -> dict[str, object]:
+    """Every setting, parsed and checked before any input is read.
+
+    A bad value is an ``invalid_value`` error at its config line, or naming
+    its flag when a flag set it.
+    """
     settings = dict(_DEFAULTS)
-    config_lines: dict[str, int] = {}  # keys whose value comes from the config file
+    # Where each key not left at its default was set: its config line, or
+    # inf for a flag, which overrides the file.
+    set_at: dict[str, float] = {}
     if getattr(args, "config", None):
         for key, (value, lineno) in _parse_config_file(args.config).items():
             settings[key] = value
-            config_lines[key] = lineno
+            set_at[key] = lineno
     inputs_dir = getattr(args, "inputs_dir", None)
     if inputs_dir:
         for key in _INPUT_KEYS:
@@ -155,12 +193,13 @@ def _resolve_settings(args: argparse.Namespace) -> dict[str, object]:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             settings[key] = flag_value
-            config_lines.pop(key, None)
+            set_at[key] = math.inf
 
     def invalid(key: str, message: str) -> InvalidValueError:
-        if key in config_lines:
-            return InvalidValueError(message, file=str(args.config), line=config_lines[key])
-        return InvalidValueError(message)
+        line = set_at.get(key, math.inf)
+        if line == math.inf:
+            return InvalidValueError(message)
+        return InvalidValueError(message, file=str(args.config), line=int(line))
 
     for key, parse in _PARSERS.items():
         if settings[key] is not None and not isinstance(settings[key], (int, float, bool)):
@@ -175,6 +214,18 @@ def _resolve_settings(args: argparse.Namespace) -> dict[str, object]:
         if settings[key] != _DEFAULTS[key] and settings[key] not in allowed:
             raise invalid(
                 key, f"{key} must be one of {', '.join(allowed)}; got {settings[key]!r}"
+            )
+    for key, enum in _ENUM_LISTS.items():
+        try:
+            _parse_enum_list(settings[key], enum)
+        except ValueError as exc:
+            raise invalid(key, f"bad value for {key}: {exc}") from None
+    for first, last in _WINDOWS:
+        if settings[first] > settings[last]:
+            # Blame the key set last: a flag, else the later config line.
+            key = max((last, first), key=lambda k: set_at.get(k, -1))
+            raise invalid(
+                key, f"{first} ({settings[first]}) is after {last} ({settings[last]})"
             )
     if settings["n_trees"] < 1:
         raise invalid("n_trees", f"n_trees must be at least 1, got {settings['n_trees']}")
@@ -257,7 +308,9 @@ def _require(settings: dict, *keys: str) -> list[str]:
 
 
 def _load_dataset(settings: dict):
-    _require(settings, "embeddings", "sites", "reference_points")
+    """The dataset, the sites it skipped, and the paths of the three
+    required inputs."""
+    inputs = _require(settings, "embeddings", "sites", "reference_points")
     dataset, skipped = ingest.load_dataset(
         embeddings_path=settings["embeddings"],
         sites_path=settings["sites"],
@@ -268,7 +321,7 @@ def _load_dataset(settings: dict):
         window=(settings["first_year"], settings["last_year"]),
         lulc_years=(settings["lulc_first_year"], settings["lulc_last_year"]),
     )
-    return dataset, skipped
+    return dataset, skipped, inputs
 
 
 def _classify_kwargs(settings: dict) -> dict:
@@ -281,13 +334,9 @@ def _classify_kwargs(settings: dict) -> dict:
 
 
 def _policy(settings: dict) -> ReferenceYearPolicy:
-    kind = str(settings["reference_policy"])
-    year = settings["reference_year"]
-    if kind == "fixed":
-        return ReferenceYearPolicy.fixed(year)
-    if kind == "per_year":
-        return ReferenceYearPolicy.per_year(year)
-    raise InvalidValueError(f"unknown reference_policy {kind!r} (fixed | per_year)")
+    if settings["reference_policy"] == "per_year":
+        return ReferenceYearPolicy.per_year(settings["reference_year"])
+    return ReferenceYearPolicy.fixed(settings["reference_year"])
 
 
 def _classified_references(dataset, settings):
@@ -320,13 +369,14 @@ def _cmd_synth(args, settings, outputs: RunOutputs) -> list[str]:
         covariate_strategy_signal=args.covariate_strategy_signal,
     )
     dataset, truth = generate_world(config)
-    write_world(dataset, truth, outputs.out_dir, on_write=outputs.add)
+    write_world(
+        dataset, truth, outputs.out_dir, on_write=outputs.add, threads=settings["threads"]
+    )
     return []
 
 
 def _cmd_validate(args, settings, outputs: RunOutputs) -> list[str]:
-    inputs = _require(settings, "embeddings", "sites", "reference_points")
-    dataset, skipped = _load_dataset(settings)
+    dataset, skipped, inputs = _load_dataset(settings)
     kept, report = ingest.filter_sites(
         list(dataset.sites),
         min_area_ha=settings["min_area_ha"],
@@ -345,8 +395,8 @@ def _cmd_validate(args, settings, outputs: RunOutputs) -> list[str]:
 
 
 def _cmd_references(args, settings, outputs: RunOutputs) -> list[str]:
-    inputs = _require(settings, "embeddings", "reference_points")
-    dataset, _ = _load_dataset(settings)
+    dataset, _, _ = _load_dataset(settings)
+    inputs = [settings["embeddings"], settings["reference_points"]]
     points = _classified_references(dataset, settings)
 
     if args.action == "classify":
@@ -404,8 +454,7 @@ def _cmd_references(args, settings, outputs: RunOutputs) -> list[str]:
 
 
 def _cmd_trajectories(args, settings, outputs: RunOutputs) -> list[str]:
-    inputs = _require(settings, "embeddings", "sites", "reference_points")
-    dataset, _ = _load_dataset(settings)
+    dataset, _, inputs = _load_dataset(settings)
     points = _classified_references(dataset, settings)
     refset = build_reference_set(points, _policy(settings))
 
@@ -469,8 +518,8 @@ def _cmd_trajectories(args, settings, outputs: RunOutputs) -> list[str]:
 
 
 def _cmd_project(args, settings, outputs: RunOutputs) -> list[str]:
-    inputs = _require(settings, "embeddings", "reference_points")
-    dataset, _ = _load_dataset(settings)
+    dataset, _, _ = _load_dataset(settings)
+    inputs = [settings["embeddings"], settings["reference_points"]]
     points = _classified_references(dataset, settings)
     year = settings["reference_year"]
 
@@ -505,45 +554,12 @@ def _cmd_project(args, settings, outputs: RunOutputs) -> list[str]:
     return inputs
 
 
-def _parse_feature_sets(text: str) -> list[FeatureSet]:
-    out = []
-    for token in str(text).split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            out.append(FeatureSet(token))
-        except ValueError:
-            valid = ", ".join(f.value for f in FeatureSet)
-            raise InvalidValueError(f"unknown feature set {token!r} (valid: {valid})") from None
-    if not out:
-        raise InvalidValueError("no feature sets selected")
-    return out
-
-
-def _parse_models(text: str) -> list[ModelKind]:
-    out = []
-    for token in str(text).split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            out.append(ModelKind(token))
-        except ValueError:
-            valid = ", ".join(m.value for m in ModelKind)
-            raise InvalidValueError(f"unknown model {token!r} (valid: {valid})") from None
-    if not out:
-        raise InvalidValueError("no models selected")
-    return out
-
-
 def _cmd_predict(args, settings, outputs: RunOutputs) -> list[str]:
-    inputs = _require(settings, "embeddings", "sites", "reference_points")
-    dataset, _ = _load_dataset(settings)
+    dataset, _, inputs = _load_dataset(settings)
     points = _classified_references(dataset, settings)
     refset = build_reference_set(points, _policy(settings))
-    feature_sets = _parse_feature_sets(settings["feature_sets"])
-    requested_models = _parse_models(settings["models"])
+    feature_sets = _parse_enum_list(settings["feature_sets"], FeatureSet)
+    requested_models = _parse_enum_list(settings["models"], ModelKind)
 
     folds = spatial_kfold(list(dataset.sites), k=settings["folds"], seed=settings["seed"])
     outputs.write_csv(
@@ -596,8 +612,7 @@ _AREA_BIN_EDGES = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 10
 
 
 def _cmd_report(args, settings, outputs: RunOutputs) -> list[str]:
-    inputs = _require(settings, "embeddings", "sites", "reference_points")
-    dataset, _ = _load_dataset(settings)
+    dataset, _, inputs = _load_dataset(settings)
     sites = dataset.sites
 
     strategy_counts: dict[str, int] = {s.value: 0 for s in Strategy}

@@ -65,8 +65,9 @@ class EmbeddingVector:
     def _trusted(cls, row: np.ndarray) -> "EmbeddingVector":
         """Wrap ``row`` without copying or checking it.
 
-        For ingest only: ``row`` is a read-only 1-D float64 view of a matrix
-        whose shape and finiteness the caller checked once as a whole.
+        For ingest and the synthetic generator only: ``row`` is a read-only
+        1-D float64 view of a matrix whose shape and finiteness the caller
+        checked once as a whole.
         """
         vec = object.__new__(cls)
         object.__setattr__(vec, "values", row)
@@ -398,6 +399,28 @@ def _check_coordinates(lon: float, lat: float):
         raise InvalidValueError(f"latitude out of range: {lat}")
 
 
+# Squared norms in [2**-800, 2**800] keep every norm, product of norms and
+# dot product that the cosine needs clear of underflow and overflow.
+_SAFE_SQUARED_NORMS = (2.0**-800, 2.0**800)
+
+
+def _in_safe_range(squared: np.ndarray) -> bool:
+    lo, hi = _SAFE_SQUARED_NORMS
+    return bool(((squared >= lo) & (squared <= hi)).all())
+
+
+def _rescaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` with each row scaled by the power of two that brings its largest
+    entry into [0.5, 1), and the squared row norms of the result.
+
+    A power-of-two scale is exact and cancels in the cosine; a tiny row such
+    as (0, 0, 1e-160) no longer loses its squared norm to subnormal rounding.
+    """
+    _, exponent = np.frexp(np.abs(x).max(axis=-1, keepdims=True))
+    x = np.ldexp(x, -exponent)
+    return x, np.vecdot(x, x)
+
+
 def cosine_similarities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cosine similarity (a.b)/(|a||b|) over the last axis, broadcasting the rest.
 
@@ -414,11 +437,17 @@ def cosine_similarities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.ascontiguousarray(b, dtype=np.float64)
     if a.shape[-1] != b.shape[-1]:
         raise WrongDimensionError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
-    norm_a = np.sqrt(np.vecdot(a, a))
-    norm_b = np.sqrt(np.vecdot(b, b))
-    if not (norm_a.all() and norm_b.all()):
-        raise ZeroVectorError("cosine similarity undefined for a zero vector")
-    return np.vecdot(a, b) / (norm_a * norm_b)
+    squared_a = np.vecdot(a, a)
+    squared_b = np.vecdot(b, b)
+    # Zero is outside the safe range, so the zero check costs nothing more
+    # where every norm is in range; rescaling keeps the bits of those rows.
+    # A squared norm that overflows still draws numpy's RuntimeWarning.
+    if not (_in_safe_range(squared_a) and _in_safe_range(squared_b)):
+        a, squared_a = _rescaled(a)
+        b, squared_b = _rescaled(b)
+        if not (squared_a.all() and squared_b.all()):
+            raise ZeroVectorError("cosine similarity undefined for a zero vector")
+    return np.vecdot(a, b) / (np.sqrt(squared_a) * np.sqrt(squared_b))
 
 
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:

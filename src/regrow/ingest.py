@@ -151,10 +151,6 @@ class FilterReport:
     n_input: int
     stages: tuple[tuple[str, int, int], ...]  # (reason, dropped, remaining)
 
-    @property
-    def n_kept(self) -> int:
-        return self.stages[-1][2] if self.stages else self.n_input
-
 
 class _Table:
     """One input CSV, read once: its stripped header and its non-blank data rows.

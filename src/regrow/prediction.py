@@ -9,7 +9,6 @@ standardization/imputation statistics computed on training folds only.
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
@@ -21,6 +20,7 @@ from .core import CovariateSet, SiteRecord, cosine_similarity
 from .errors import FoldTooSmallError, InvalidValueError, MissingFeatureError
 from .forest import train_random_forest
 from .linear_models import train_linear, train_logistic
+from .pool import run_jobs
 from .references import ReferenceSet
 
 log = logging.getLogger("regrow.prediction")
@@ -349,7 +349,9 @@ def evaluate(
                 )
             plans.append((model, fs, excluded, skipped, label_alphabet, fold_plans))
 
-    predictions = iter(_run_jobs(jobs, threads))
+    # Random-forest fits (the slow ones) go to the pool first.
+    order = sorted(range(len(jobs)), key=lambda i: jobs[i][0] is not ModelKind.RANDOM_FOREST)
+    predictions = iter(run_jobs(_fit_predict, jobs, threads, order))
     results = []
     for model, fs, excluded, skipped, label_alphabet, fold_plans in plans:
         per_fold: list[FoldMetrics] = []
@@ -389,55 +391,6 @@ def evaluate(
             )
         )
     return results
-
-
-def _available_cores() -> int:
-    """Cores this process may run on; 1 where the platform cannot say."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return 1
-
-
-def _worker_count(threads: int | None, n_jobs: int) -> int:
-    """Worker processes for ``n_jobs`` fits: never more than the cap, the
-    available cores or the jobs."""
-    cores = _available_cores()
-    return max(1, min(cores if threads is None else threads, cores, n_jobs))
-
-
-def _run_job(job: tuple):
-    """One fit in a worker. An error comes back as a value, so the caller can
-    raise the one the serial order would have raised first."""
-    try:
-        return _fit_predict(*job), None
-    except Exception as exc:
-        return None, exc
-
-
-def _run_jobs(jobs: list[tuple], threads: int | None) -> list:
-    """Predictions of every ``_fit_predict`` job, in job order.
-
-    With one worker the jobs run here, in order. Otherwise they run on a
-    pool, random-forest jobs (the slow ones) first, one at a time per worker
-    so the pool stays balanced. The pool forks: a spawned worker would import
-    numpy and regrow again, which costs about as much as a forest fit.
-    """
-    workers = _worker_count(threads, len(jobs))
-    if workers == 1:
-        return [_fit_predict(*job) for job in jobs]
-
-    import multiprocessing  # only here: every other command skips the import cost
-
-    order = sorted(range(len(jobs)), key=lambda i: jobs[i][0] is not ModelKind.RANDOM_FOREST)
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        outcomes = dict(zip(order, pool.map(_run_job, [jobs[i] for i in order], chunksize=1)))
-    predictions = []
-    for i in range(len(jobs)):
-        y_pred, exc = outcomes[i]
-        if exc is not None:
-            raise exc
-        predictions.append(y_pred)
-    return predictions
 
 
 def _impute(X_train: np.ndarray, X_test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

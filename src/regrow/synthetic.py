@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping
 
@@ -40,7 +41,12 @@ from .core import (
     CovariateSet,
 )
 from .csvio import write_csv
-from .errors import InvalidValueError, SeparationInfeasibleError, ZeroVectorError
+from .errors import (
+    InvalidValueError,
+    NonFiniteError,
+    SeparationInfeasibleError,
+    ZeroVectorError,
+)
 from .ingest import DEFAULT_LULC_CODES, Dataset, LULCCodeMap
 
 #: Classes are drawn from this list in order; the first three are required
@@ -194,10 +200,28 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _noisy_unit(base: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row of ``rows`` over its norm; bit-equal to ``_unit`` per row."""
+    return rows / np.sqrt(np.vecdot(rows, rows))[:, None]
+
+
+def _noisy_embeddings(
+    years: range, bases: np.ndarray, sigma: float, rng: np.random.Generator
+) -> dict[int, EmbeddingVector]:
+    """One record's embeddings: each year's unit ``bases`` row plus noise.
+
+    The noise of every year comes from one ``(years, dim)`` draw, in the
+    order one draw per year would take it. The rows are views of one
+    read-only matrix whose finiteness is checked once.
+    """
     if sigma == 0.0:
-        return base.copy()
-    return _unit(base + rng.normal(0.0, sigma, size=base.shape))
+        rows = np.array(bases, dtype=np.float64)
+    else:
+        rows = _unit_rows(bases + rng.normal(0.0, sigma, size=bases.shape))
+    if not np.isfinite(rows).all():
+        raise NonFiniteError("embedding contains NaN or Inf")
+    rows.flags.writeable = False
+    return dict(zip(years, map(EmbeddingVector._trusted, rows)))
 
 
 def _orthogonal_unit(anchor: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -256,6 +280,7 @@ def generate_world(config: SynthConfig) -> tuple[Dataset, GroundTruth]:
     centroids = _sample_centroids(config, rng)
     first, last = config.years
     years = range(first, last + 1)
+    year_array = np.arange(first, last + 1)
     lulc_span = range(config.lulc_years[0], config.lulc_years[1] + 1)
     lon0, lat0, lon1, lat1 = _BBOX
 
@@ -266,14 +291,11 @@ def generate_world(config: SynthConfig) -> tuple[Dataset, GroundTruth]:
         return float(rng.uniform(lon0, lon1)), float(rng.uniform(lat0, lat1))
 
     for cls in config.classes:
-        centroid = centroids[cls]
+        stable_bases = np.broadcast_to(centroids[cls], (len(years), config.dim))
         for i in range(config.points_per_class):
             pid = f"ref_{cls.label}_{i:04d}"
             lon, lat = random_coords()
-            embeddings = {
-                y: EmbeddingVector(_noisy_unit(centroid, config.noise_sigma, rng))
-                for y in years
-            }
+            embeddings = _noisy_embeddings(years, stable_bases, config.noise_sigma, rng)
             references.append(
                 ReferencePoint(
                     point_id=pid,
@@ -293,14 +315,12 @@ def generate_world(config: SynthConfig) -> tuple[Dataset, GroundTruth]:
     for a, b in config.transitions:
         if a not in available or b not in available:
             continue
+        alpha = ((year_array - first) / max(1, last - first))[:, None]
+        bases = _unit_rows((1 - alpha) * centroids[a] + alpha * centroids[b])
         for i in range(config.points_per_transition):
             pid = f"chg_{a.label}_{b.label}_{i:04d}"
             lon, lat = random_coords()
-            embeddings = {}
-            for y in years:
-                alpha = (y - first) / max(1, last - first)
-                base = _unit((1 - alpha) * centroids[a] + alpha * centroids[b])
-                embeddings[y] = EmbeddingVector(_noisy_unit(base, config.noise_sigma, rng))
+            embeddings = _noisy_embeddings(years, bases, config.noise_sigma, rng)
             series = {y: (a if y < change_year else b) for y in lulc_span}
             references.append(
                 ReferencePoint(
@@ -327,20 +347,19 @@ def generate_world(config: SynthConfig) -> tuple[Dataset, GroundTruth]:
         strategy = strategies[int(rng.integers(len(strategies)))]
         rate = float(config.recovery_rate_by_strategy[strategy])
 
-        embeddings = {}
-        expected: dict[int, float] = {}
-        for y in years:
-            alpha = min(1.0, rate * max(0, y - start))
-            base = _unit((1 - alpha) * pasture + alpha * secondary)
-            embeddings[y] = EmbeddingVector(_noisy_unit(base, config.noise_sigma, rng))
-            expected[y] = float(np.dot(base, secondary))
+        alpha = np.minimum(1.0, rate * np.maximum(0, year_array - start))
+        bases = _unit_rows((1 - alpha)[:, None] * pasture + alpha[:, None] * secondary)
+        embeddings = _noisy_embeddings(years, bases, config.noise_sigma, rng)
+        expected = dict(zip(years, np.vecdot(bases, secondary).tolist()))
 
-        spectral = {}
-        for y in years:
-            alpha = min(1.0, rate * max(0, y - start))
-            ndvi = float(np.clip(0.25 + 0.55 * alpha + rng.normal(0.0, 0.02), -1.0, 1.0))
-            evi = float(0.15 + 0.45 * alpha + rng.normal(0.0, 0.02))
-            spectral[y] = SpectralIndices(ndvi=ndvi, evi=evi)
+        # Each year draws its NDVI noise, then its EVI noise.
+        noise = rng.normal(0.0, 0.02, size=(len(years), 2))
+        ndvi = np.clip(0.25 + 0.55 * alpha + noise[:, 0], -1.0, 1.0)
+        evi = 0.15 + 0.45 * alpha + noise[:, 1]
+        spectral = {
+            y: SpectralIndices(ndvi=n, evi=e)
+            for y, n, e in zip(years, ndvi.tolist(), evi.tolist())
+        }
 
         strategy_idx = strategies.index(strategy)
         if config.covariate_strategy_signal > 0:
@@ -408,110 +427,98 @@ def write_world(
     out_dir: str | Path,
     lulc_codes: LULCCodeMap = DEFAULT_LULC_CODES,
     on_write=None,
+    threads: int | None = None,
 ) -> list[Path]:
     """Write the world in the exact ingest CSV formats plus ground_truth.csv.
 
     ``on_write`` is called with each path as soon as the file lands, so a
     caller can track partial output even if a later write fails.
+    ``threads`` caps the worker processes that format the large tables
+    (None: every available core); the files do not depend on it.
     """
     out = Path(out_dir)
     paths: list[Path] = []
 
-    def emit(path: Path) -> Path:
+    def write(name: str, header, rows) -> None:
+        path = write_csv(out / name, header, rows, threads)
         paths.append(path)
         if on_write is not None:
             on_write(path)
-        return path
 
-    dim = None
-    emb_rows = []
-    for site in dataset.sites:
-        for year, emb in site.embeddings.items():
-            dim = emb.dim
-            emb_rows.append((site.site_id, year, emb))
-    for point in dataset.references:
-        for year, emb in point.embeddings.items():
-            dim = emb.dim
-            emb_rows.append((point.point_id, year, emb))
-    emb_rows.sort(key=lambda r: (r[0], r[1]))
-    emit(
-        write_csv(
-            out / "embeddings.csv",
-            ["id", "year"] + [f"A{i:02d}" for i in range(dim or 0)],
-            ((rid, year, emb.values) for rid, year, emb in emb_rows),
+    emb_rows = [
+        (record_id, year, emb.values)
+        for records in (
+            ((s.site_id, s.embeddings) for s in dataset.sites),
+            ((p.point_id, p.embeddings) for p in dataset.references),
         )
+        for record_id, embeddings in records
+        for year, emb in embeddings.items()
+    ]
+    emb_rows.sort(key=itemgetter(0, 1))
+    dim = emb_rows[-1][2].size if emb_rows else 0
+    write(
+        "embeddings.csv",
+        ["id", "year"] + [f"A{i:02d}" for i in range(dim)],
+        emb_rows,
     )
-
-    emit(
-        write_csv(
-            out / "sites.csv",
-            ["site_id", "lon", "lat", "area_ha", "start_year", "strategy", "start_lulc"],
+    write(
+        "sites.csv",
+        ["site_id", "lon", "lat", "area_ha", "start_year", "strategy", "start_lulc"],
+        (
             (
-                (
-                    s.site_id, s.centroid_lon, s.centroid_lat, s.area_ha,
-                    s.start_year, s.strategy.value,
-                    s.start_lulc.label if s.start_lulc else "",
-                )
-                for s in dataset.sites
-            ),
-        )
+                s.site_id, s.centroid_lon, s.centroid_lat, s.area_ha,
+                s.start_year, s.strategy.value,
+                s.start_lulc.label if s.start_lulc else "",
+            )
+            for s in dataset.sites
+        ),
     )
-    emit(
-        write_csv(
-            out / "spectral.csv",
-            ["id", "year", "ndvi", "evi"],
-            (
-                (s.site_id, year, sp.ndvi, sp.evi)
-                for s in dataset.sites
-                for year, sp in s.spectral.items()
-            ),
-        )
+    write(
+        "spectral.csv",
+        ["id", "year", "ndvi", "evi"],
+        (
+            (s.site_id, year, sp.ndvi, sp.evi)
+            for s in dataset.sites
+            for year, sp in s.spectral.items()
+        ),
     )
-    emit(
-        write_csv(
-            out / "covariates.csv",
-            ["id", "year", *CovariateSet.FIELD_NAMES],
-            (
-                (s.site_id, year, cov.as_array())
-                for s in dataset.sites
-                for year, cov in s.covariates.items()
-            ),
-        )
+    write(
+        "covariates.csv",
+        ["id", "year", *CovariateSet.FIELD_NAMES],
+        (
+            (s.site_id, year, cov.as_array())
+            for s in dataset.sites
+            for year, cov in s.covariates.items()
+        ),
     )
 
     lulc_years = sorted({y for p in dataset.references for y in p.lulc_series})
     name_to_code = {cls.name: code for code, cls in lulc_codes.entries()}
-    emit(
-        write_csv(
-            out / "reference_points.csv",
-            ["point_id", "lon", "lat"] + [f"lulc_{y}" for y in lulc_years],
+    write(
+        "reference_points.csv",
+        ["point_id", "lon", "lat"] + [f"lulc_{y}" for y in lulc_years],
+        (
             (
-                (
-                    p.point_id, p.lon, p.lat,
-                    *(name_to_code[p.lulc_series[y].name] for y in lulc_years),
-                )
-                for p in dataset.references
-            ),
-        )
+                p.point_id, p.lon, p.lat,
+                *(name_to_code[p.lulc_series[y].name] for y in lulc_years),
+            )
+            for p in dataset.references
+        ),
     )
-    emit(
-        write_csv(
-            out / "lulc_codes.csv",
-            ["code", "name"],
-            ((code, cls.name) for code, cls in lulc_codes.entries()),
-        )
+    write(
+        "lulc_codes.csv",
+        ["code", "name"],
+        ((code, cls.name) for code, cls in lulc_codes.entries()),
     )
-    emit(
-        write_csv(
-            out / "ground_truth.csv",
-            ["id", "kind", "true_class", "from", "to", "transition_year", "rate"],
+    write(
+        "ground_truth.csv",
+        ["id", "kind", "true_class", "from", "to", "transition_year", "rate"],
+        (
             (
-                (
-                    r.record_id, r.kind, r.true_class, r.from_class, r.to_class,
-                    r.transition_year, r.rate,
-                )
-                for r in sorted(truth.records.values(), key=lambda r: r.record_id)
-            ),
-        )
+                r.record_id, r.kind, r.true_class, r.from_class, r.to_class,
+                r.transition_year, r.rate,
+            )
+            for r in sorted(truth.records.values(), key=lambda r: r.record_id)
+        ),
     )
     return paths

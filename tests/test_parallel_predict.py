@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from regrow import prediction
+from regrow import pool, prediction
 from regrow.cli import main
 from regrow.cluster import FoldAssignment, spatial_kfold
 from regrow.errors import InvalidValueError
@@ -36,7 +36,7 @@ def run(args):
 
 @pytest.fixture
 def two_cores(monkeypatch):
-    monkeypatch.setattr(prediction, "_available_cores", lambda: 2)
+    monkeypatch.setattr(pool, "_available_cores", lambda: 2)
 
 
 @pytest.fixture(scope="module")
@@ -64,17 +64,17 @@ def _evaluate_all(small_world, small_refset, folds, threads):
 
 class TestWorkerCount:
     def test_capped_by_threads_cores_and_jobs(self, monkeypatch):
-        monkeypatch.setattr(prediction, "_available_cores", lambda: 4)
-        assert prediction._worker_count(None, 30) == 4
-        assert prediction._worker_count(2, 30) == 2
-        assert prediction._worker_count(1, 30) == 1
-        assert prediction._worker_count(100000, 30) == 4
-        assert prediction._worker_count(None, 3) == 3
-        assert prediction._worker_count(None, 0) == 1
+        monkeypatch.setattr(pool, "_available_cores", lambda: 4)
+        assert pool._worker_count(None, 30) == 4
+        assert pool._worker_count(2, 30) == 2
+        assert pool._worker_count(1, 30) == 1
+        assert pool._worker_count(100000, 30) == 4
+        assert pool._worker_count(None, 3) == 3
+        assert pool._worker_count(None, 0) == 1
 
     def test_huge_cap_never_exceeds_the_available_cores(self):
         cores = len(os.sched_getaffinity(0))
-        assert prediction._worker_count(100000, 10**6) == cores
+        assert pool._worker_count(100000, 10**6) == cores
 
     def test_threads_below_one_rejected(self, small_world, small_refset):
         dataset, _ = small_world

@@ -75,6 +75,17 @@ class TestCosineProperties:
         )
         assert scaled == pytest.approx(base, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e160, 1e300])
+    @pytest.mark.filterwarnings("ignore:overflow encountered in vecdot:RuntimeWarning")
+    def test_extreme_magnitudes_keep_the_cosine(self, scale):
+        # Squared norms of these vectors underflow or overflow a double;
+        # numpy warns of the overflow before the kernel rescales the rows.
+        arr = np.array([0.0, 0.0, 1.0])
+        other = np.random.default_rng(1).normal(size=3)
+        expected = cosine_similarity(EmbeddingVector(arr), EmbeddingVector(other))
+        scaled = cosine_similarity(EmbeddingVector(arr * scale), EmbeddingVector(other))
+        assert scaled == pytest.approx(expected, abs=1e-12)
+
     def test_symmetry_and_bounds(self):
         rng = np.random.default_rng(2)
         for _ in range(300):
