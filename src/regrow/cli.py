@@ -2,7 +2,8 @@
 
 Subcommands: synth, validate, references (classify|build|outliers),
 trajectories, project, predict, report. Configuration is a flat
-``key = value`` text file; command-line flags override file values. Every
+``key = value`` text file; command-line flags override file values. One
+table, ``_SETTINGS``, parses and checks both, and makes the flags. Every
 run writes a manifest (config hash, seed, input checksums, artifact
 hashes) so outputs are reproducible from the manifest alone. On any
 module error the command removes its partial outputs, prints a JSON error
@@ -17,8 +18,10 @@ import json
 import math
 import sys
 import traceback
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Callable
 
 from . import ingest
 from .cluster import spatial_kfold
@@ -39,7 +42,7 @@ from .references import (
     classify_points,
     detect_outliers,
 )
-from .synthetic import SynthConfig, generate_world, write_world
+from .synthetic import CLASS_ORDER, SynthConfig, generate_world, write_world
 from .trajectories import (
     GroupBy,
     ReferenceKind,
@@ -51,74 +54,143 @@ from .trajectories import (
 
 _INPUT_KEYS = ("embeddings", "sites", "spectral", "covariates", "reference_points", "lulc_codes")
 
-_DEFAULTS: dict[str, object] = {
-    "embeddings": None,
-    "sites": None,
-    "spectral": None,
-    "covariates": None,
-    "reference_points": None,
-    "lulc_codes": None,
-    "first_year": 2017,
-    "last_year": 2024,
-    "lulc_first_year": 2015,
-    "lulc_last_year": 2024,
-    "min_stable_years": 10,
-    "stability_end_year": 2024,
-    "change_from_first": 2017,
-    "change_from_last": 2020,
-    "change_to_first": 2021,
-    "change_to_last": 2024,
-    "reference_policy": "fixed",
-    "reference_year": 2024,
-    "outlier_metric": "cosine",
-    "outlier_top_k": 10,
-    "min_area_ha": 1.0,
-    "start_year_min": 2017,
-    "start_year_max": 2024,
-    "folds": 5,
-    "horizon": 3,
-    "t0": 0,
-    "feature_sets": "covariates,covariates_spectral,embeddings",
-    "models": "linear,logistic,random_forest",
-    "impute": True,
-    "n_trees": 100,
-    "seed": 0,
-    "threads": None,  # None: every available core
-    "reference_kind": "global",
-    "aggregate": "",
-    "baselines": True,
-}
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("must be an integer") from None
 
 
-def _parse_bool(text: str) -> bool:
+def _float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError("must be a number") from None
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+def _bool(text: str) -> bool:
     value = text.strip().lower()
     if value not in ("true", "false"):
-        raise ValueError(f"expected true or false, got {text!r}")
+        raise ValueError("must be true or false")
     return value == "true"
 
 
-_PARSERS = {
-    "first_year": int, "last_year": int, "lulc_first_year": int, "lulc_last_year": int,
-    "min_stable_years": int, "stability_end_year": int,
-    "change_from_first": int, "change_from_last": int,
-    "change_to_first": int, "change_to_last": int,
-    "reference_year": int, "outlier_top_k": int, "folds": int, "horizon": int,
-    "t0": int, "n_trees": int, "seed": int, "threads": int,
-    "min_area_ha": float,
-    "start_year_min": int, "start_year_max": int,
-    "impute": _parse_bool, "baselines": _parse_bool,
-}
+def _at_least(low):
+    def check(value):
+        if value < low:
+            raise ValueError(f"must be at least {low}")
+    return check
 
-#: Allowed values of the enumerated settings, for their flags and config lines.
-_CHOICES = {
-    "reference_kind": ("global", "local", "both"),
-    "aggregate": tuple(g.value for g in GroupBy),
-    "outlier_metric": ("cosine", "euclidean"),
-    "reference_policy": ("fixed", "per_year"),
-}
 
-#: Settings that name one or more members of an enum, comma-separated.
-_ENUM_LISTS = {"feature_sets": FeatureSet, "models": ModelKind}
+def _between(low, high):
+    def check(value):
+        if not low <= value <= high:
+            raise ValueError(f"must be between {low} and {high}")
+    return check
+
+
+def _one_of(*choices: str):
+    def check(value):
+        if value not in choices:
+            raise ValueError(f"must be one of {', '.join(map(repr, choices))}")
+    return check
+
+
+def _parse_enum_list(text: str, enum: type[Enum]) -> list:
+    """Members of ``enum`` named in the comma-separated ``text``."""
+    members = []
+    for token in text.split(","):
+        token = token.strip()
+        if not token:
+            continue
+        try:
+            members.append(enum(token))
+        except ValueError:
+            valid = ", ".join(m.value for m in enum)
+            raise ValueError(f"names unknown value {token!r} (valid: {valid})") from None
+    if not members:
+        raise ValueError("selects nothing")
+    return members
+
+
+def _names_of(enum: type[Enum]):
+    return lambda value: _parse_enum_list(value, enum)
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One setting: its default, the parser of its text (a flag value or a
+    config line), the check of the parsed value, and the subcommands that
+    take it as a flag, ``--key-name`` unless ``flag`` names another."""
+
+    default: object
+    parse: Callable[[str], object] = str
+    check: Callable[[object], object] = lambda value: None
+    commands: tuple[str, ...] = ()
+    flag: str | None = None
+    help: str | None = None
+
+
+_EVERY = ("synth", "validate", "references", "trajectories", "project", "predict", "report")
+_BUILDS_REFERENCES = ("references", "trajectories", "predict")
+_SYNTH = ("synth",)
+
+#: Every setting. A key with no subcommands is set in the config file only.
+_SETTINGS = {
+    **{key: _Key(None, commands=_EVERY, help=f"path to {key}.csv") for key in _INPUT_KEYS},
+    "seed": _Key(0, _int, _at_least(0), _EVERY),
+    "threads": _Key(None, _int, _at_least(1), _EVERY, help=(
+        "cap on worker processes (default: every available core; "
+        "results do not depend on it)")),
+    "first_year": _Key(2017, _int, commands=_SYNTH),
+    "last_year": _Key(2024, _int, commands=_SYNTH),
+    "lulc_first_year": _Key(2015, _int),
+    "lulc_last_year": _Key(2024, _int),
+    "min_stable_years": _Key(10, _int, _at_least(1)),
+    "stability_end_year": _Key(2024, _int),
+    "change_from_first": _Key(2017, _int),
+    "change_from_last": _Key(2020, _int),
+    "change_to_first": _Key(2021, _int),
+    "change_to_last": _Key(2024, _int),
+    "reference_policy": _Key("fixed", check=_one_of("fixed", "per_year"),
+                             commands=_BUILDS_REFERENCES),
+    "reference_year": _Key(2024, _int, commands=(*_BUILDS_REFERENCES, "project")),
+    "outlier_metric": _Key("cosine", check=_one_of("cosine", "euclidean"),
+                           commands=("references",)),
+    "outlier_top_k": _Key(10, _int, _at_least(0), ("references",)),
+    "min_area_ha": _Key(1.0, _float, commands=("validate",)),
+    "start_year_min": _Key(2017, _int, commands=("validate",)),
+    "start_year_max": _Key(2024, _int, commands=("validate",)),
+    "reference_kind": _Key("global", check=_one_of("global", "local", "both"),
+                           commands=("trajectories",), flag="--reference"),
+    # "" means no aggregation.
+    "aggregate": _Key("", check=_one_of("", *(g.value for g in GroupBy)),
+                      commands=("trajectories",)),
+    "baselines": _Key(True, _bool, commands=("trajectories",), flag="--no-baselines"),
+    "folds": _Key(5, _int, _at_least(2), ("predict",)),
+    "horizon": _Key(3, _int, _at_least(0), ("predict",)),
+    "t0": _Key(0, _int, commands=("predict",)),
+    "feature_sets": _Key("covariates,covariates_spectral,embeddings",
+                         check=_names_of(FeatureSet), commands=("predict",)),
+    "models": _Key("linear,logistic,random_forest", check=_names_of(ModelKind),
+                   commands=("predict",)),
+    "n_trees": _Key(100, _int, _at_least(1), ("predict",)),
+    "impute": _Key(True, _bool, commands=("predict",), flag="--no-impute"),
+    "n_sites": _Key(200, _int, _at_least(0), _SYNTH),
+    "points_per_class": _Key(200, _int, _at_least(0), _SYNTH),
+    "n_classes": _Key(5, _int, _between(2, len(CLASS_ORDER)), _SYNTH),
+    "dim": _Key(64, _int, _at_least(2), _SYNTH),
+    "noise_sigma": _Key(0.05, _float, _at_least(0), _SYNTH),
+    "start_year_spread": _Key(2, _int, _at_least(0), _SYNTH),
+    "points_per_transition": _Key(40, _int, _at_least(0), _SYNTH),
+    "equal_rate": _Key(None, _float, _between(0, 1), _SYNTH,
+                       help="use one recovery rate for all strategies"),
+    "covariate_strategy_signal": _Key(0.0, _float, _at_least(0), _SYNTH),
+}
 
 #: Year windows as (first, last) settings; first must not be after last.
 _WINDOWS = (
@@ -130,26 +202,8 @@ _WINDOWS = (
 )
 
 
-def _parse_enum_list(text: str, enum: type[Enum]) -> list:
-    """Members of ``enum`` named in the comma-separated ``text``."""
-    members = []
-    for token in str(text).split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            members.append(enum(token))
-        except ValueError:
-            valid = ", ".join(m.value for m in enum)
-            raise ValueError(f"unknown value {token!r} (valid: {valid})") from None
-    if not members:
-        raise ValueError("nothing selected")
-    return members
-
-
-def _parse_config_file(path: str | Path) -> dict[str, tuple[str, int]]:
-    """Config values by key, each with the 1-based line it was set on."""
-    values: dict[str, tuple[str, int]] = {}
+def _config_lines(path: str | Path):
+    """(key, value text, 1-based line) of each setting in a config file."""
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -160,40 +214,24 @@ def _parse_config_file(path: str | Path) -> dict[str, tuple[str, int]]:
             )
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _DEFAULTS:
+        if key not in _SETTINGS:
             raise InvalidValueError(
                 f"unknown config key {key!r}", file=str(path), line=lineno
             )
-        values[key] = (value.strip(), lineno)
-    return values
+        yield key, value.strip(), lineno
 
 
 def _resolve_settings(args: argparse.Namespace) -> dict[str, object]:
     """Every setting, parsed and checked before any input is read.
 
-    A bad value is an ``invalid_value`` error at its config line, or naming
-    its flag when a flag set it.
+    Config lines, in file order, then flags go through their key's parser
+    and check. A bad value is an ``invalid_value`` error at its config line,
+    or naming its flag when a flag set it.
     """
-    settings = dict(_DEFAULTS)
+    settings = {key: row.default for key, row in _SETTINGS.items()}
     # Where each key not left at its default was set: its config line, or
     # inf for a flag, which overrides the file.
     set_at: dict[str, float] = {}
-    if getattr(args, "config", None):
-        for key, (value, lineno) in _parse_config_file(args.config).items():
-            settings[key] = value
-            set_at[key] = lineno
-    inputs_dir = getattr(args, "inputs_dir", None)
-    if inputs_dir:
-        for key in _INPUT_KEYS:
-            if settings[key] is None:
-                candidate = Path(inputs_dir) / f"{key}.csv"
-                if candidate.exists():
-                    settings[key] = str(candidate)
-    for key in _DEFAULTS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            settings[key] = flag_value
-            set_at[key] = math.inf
 
     def invalid(key: str, message: str) -> InvalidValueError:
         line = set_at.get(key, math.inf)
@@ -201,25 +239,28 @@ def _resolve_settings(args: argparse.Namespace) -> dict[str, object]:
             return InvalidValueError(message)
         return InvalidValueError(message, file=str(args.config), line=int(line))
 
-    for key, parse in _PARSERS.items():
-        if settings[key] is not None and not isinstance(settings[key], (int, float, bool)):
-            try:
-                settings[key] = parse(settings[key])
-            except ValueError:
-                raise invalid(key, f"bad value for {key}: {settings[key]!r}") from None
-        if parse is float and not math.isfinite(settings[key]):
-            raise invalid(key, f"{key} must be finite, got {settings[key]!r}")
-    for key, allowed in _CHOICES.items():
-        # The default is always allowed: "" for aggregate means no aggregation.
-        if settings[key] != _DEFAULTS[key] and settings[key] not in allowed:
-            raise invalid(
-                key, f"{key} must be one of {', '.join(allowed)}; got {settings[key]!r}"
-            )
-    for key, enum in _ENUM_LISTS.items():
+    def assign(key: str, text: str, where: float):
+        set_at[key] = where
+        row = _SETTINGS[key]
         try:
-            _parse_enum_list(settings[key], enum)
+            settings[key] = row.parse(text)
+            row.check(settings[key])
         except ValueError as exc:
-            raise invalid(key, f"bad value for {key}: {exc}") from None
+            raise invalid(key, f"{key} {exc}, got {text!r}") from None
+
+    if args.config:
+        for key, text, lineno in _config_lines(args.config):
+            assign(key, text, lineno)
+    if args.inputs_dir:
+        for key in _INPUT_KEYS:
+            if settings[key] is None:
+                candidate = Path(args.inputs_dir) / f"{key}.csv"
+                if candidate.exists():
+                    settings[key] = str(candidate)
+    for key in _SETTINGS:
+        text = getattr(args, key, None)
+        if text is not None:
+            assign(key, text, math.inf)
     for first, last in _WINDOWS:
         if settings[first] > settings[last]:
             # Blame the key set last: a flag, else the later config line.
@@ -227,18 +268,6 @@ def _resolve_settings(args: argparse.Namespace) -> dict[str, object]:
             raise invalid(
                 key, f"{first} ({settings[first]}) is after {last} ({settings[last]})"
             )
-    if settings["n_trees"] < 1:
-        raise invalid("n_trees", f"n_trees must be at least 1, got {settings['n_trees']}")
-    if settings["horizon"] < 0:
-        raise invalid("horizon", f"horizon must not be negative, got {settings['horizon']}")
-    if settings["folds"] < 2:
-        raise invalid("folds", f"folds must be at least 2, got {settings['folds']}")
-    if settings["outlier_top_k"] < 0:
-        raise invalid(
-            "outlier_top_k", f"outlier_top_k must not be negative, got {settings['outlier_top_k']}"
-        )
-    if settings["threads"] is not None and settings["threads"] < 1:
-        raise invalid("threads", f"threads must be at least 1, got {settings['threads']}")
     return settings
 
 
@@ -349,24 +378,17 @@ def _classified_references(dataset, settings):
 
 
 def _cmd_synth(args, settings, outputs: RunOutputs) -> list[str]:
-    rates = dict(
-        {s: args.equal_rate for s in Strategy}
-        if args.equal_rate is not None
-        else SynthConfig().recovery_rate_by_strategy
-    )
+    """generate a synthetic world with ground truth"""
+    knobs = {key: settings[key] for key in (
+        "seed", "dim", "n_classes", "points_per_class", "n_sites", "noise_sigma",
+        "start_year_spread", "points_per_transition", "covariate_strategy_signal",
+    )}
+    if settings["equal_rate"] is not None:
+        knobs["recovery_rate_by_strategy"] = {s: settings["equal_rate"] for s in Strategy}
     config = SynthConfig(
-        seed=settings["seed"],
-        dim=args.dim,
-        n_classes=args.n_classes,
-        points_per_class=args.points_per_class,
-        n_sites=args.n_sites,
-        noise_sigma=args.noise_sigma,
         years=(settings["first_year"], settings["last_year"]),
         lulc_years=(settings["lulc_first_year"], settings["lulc_last_year"]),
-        recovery_rate_by_strategy=rates,
-        start_year_spread=args.start_year_spread,
-        points_per_transition=args.points_per_transition,
-        covariate_strategy_signal=args.covariate_strategy_signal,
+        **knobs,
     )
     dataset, truth = generate_world(config)
     write_world(
@@ -376,6 +398,7 @@ def _cmd_synth(args, settings, outputs: RunOutputs) -> list[str]:
 
 
 def _cmd_validate(args, settings, outputs: RunOutputs) -> list[str]:
+    """ingest inputs and report the drop funnel"""
     dataset, skipped, inputs = _load_dataset(settings)
     kept, report = ingest.filter_sites(
         list(dataset.sites),
@@ -395,6 +418,7 @@ def _cmd_validate(args, settings, outputs: RunOutputs) -> list[str]:
 
 
 def _cmd_references(args, settings, outputs: RunOutputs) -> list[str]:
+    """classify stability, build references, rank outliers"""
     dataset, _, _ = _load_dataset(settings)
     inputs = [settings["embeddings"], settings["reference_points"]]
     points = _classified_references(dataset, settings)
@@ -454,6 +478,7 @@ def _cmd_references(args, settings, outputs: RunOutputs) -> list[str]:
 
 
 def _cmd_trajectories(args, settings, outputs: RunOutputs) -> list[str]:
+    """similarity trajectories, aggregates, baselines"""
     dataset, _, inputs = _load_dataset(settings)
     points = _classified_references(dataset, settings)
     refset = build_reference_set(points, _policy(settings))
@@ -518,6 +543,7 @@ def _cmd_trajectories(args, settings, outputs: RunOutputs) -> list[str]:
 
 
 def _cmd_project(args, settings, outputs: RunOutputs) -> list[str]:
+    """2D projection tables and silhouette score"""
     dataset, _, _ = _load_dataset(settings)
     inputs = [settings["embeddings"], settings["reference_points"]]
     points = _classified_references(dataset, settings)
@@ -555,6 +581,7 @@ def _cmd_project(args, settings, outputs: RunOutputs) -> list[str]:
 
 
 def _cmd_predict(args, settings, outputs: RunOutputs) -> list[str]:
+    """run the prediction tasks under spatial CV"""
     dataset, _, inputs = _load_dataset(settings)
     points = _classified_references(dataset, settings)
     refset = build_reference_set(points, _policy(settings))
@@ -612,6 +639,7 @@ _AREA_BIN_EDGES = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 10
 
 
 def _cmd_report(args, settings, outputs: RunOutputs) -> list[str]:
+    """metadata distribution tables"""
     dataset, _, inputs = _load_dataset(settings)
     sites = dataset.sites
 
@@ -655,85 +683,32 @@ _HANDLERS = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap on worker processes (default: every available core; "
-                        "results do not depend on it)")
-    parser.add_argument("--output-dir", required=True)
-    parser.add_argument("--inputs-dir",
-                        help="directory holding the standard input CSV filenames")
-    for key in _INPUT_KEYS:
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None,
-                            help=f"path to {key}.csv")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regrow",
         description="Restoration-progress analytics from annual embedding vectors",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic world with ground truth")
-    _add_common(p)
-    p.add_argument("--n-sites", type=int, default=200)
-    p.add_argument("--points-per-class", type=int, default=200)
-    p.add_argument("--n-classes", type=int, default=5)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--noise-sigma", type=float, default=0.05)
-    p.add_argument("--start-year-spread", type=int, default=2)
-    p.add_argument("--points-per-transition", type=int, default=40)
-    p.add_argument("--equal-rate", type=float, default=None,
-                   help="use one recovery rate for all strategies")
-    p.add_argument("--covariate-strategy-signal", type=float, default=0.0)
-    p.add_argument("--first-year", dest="first_year", type=int, default=None)
-    p.add_argument("--last-year", dest="last_year", type=int, default=None)
-
-    p = sub.add_parser("validate", help="ingest inputs and report the drop funnel")
-    _add_common(p)
-    p.add_argument("--min-area-ha", dest="min_area_ha", type=float, default=None)
-    p.add_argument("--start-year-min", dest="start_year_min", type=int, default=None)
-    p.add_argument("--start-year-max", dest="start_year_max", type=int, default=None)
-
-    p = sub.add_parser("references", help="classify stability, build references, rank outliers")
-    p.add_argument("action", choices=["classify", "build", "outliers"])
-    _add_common(p)
-    p.add_argument("--reference-policy", dest="reference_policy", default=None)
-    p.add_argument("--reference-year", dest="reference_year", type=int, default=None)
-    p.add_argument("--outlier-metric", dest="outlier_metric",
-                   choices=_CHOICES["outlier_metric"], default=None)
-    p.add_argument("--outlier-top-k", dest="outlier_top_k", type=int, default=None)
-
-    p = sub.add_parser("trajectories", help="similarity trajectories, aggregates, baselines")
-    _add_common(p)
-    p.add_argument("--reference", dest="reference_kind",
-                   choices=_CHOICES["reference_kind"], default=None)
-    p.add_argument("--aggregate", dest="aggregate", choices=_CHOICES["aggregate"], default=None)
-    p.add_argument("--no-baselines", dest="baselines", action="store_false", default=None)
-    p.add_argument("--reference-policy", dest="reference_policy", default=None)
-    p.add_argument("--reference-year", dest="reference_year", type=int, default=None)
-
-    p = sub.add_parser("project", help="2D projection tables and silhouette score")
-    _add_common(p)
-    p.add_argument("--reference-year", dest="reference_year", type=int, default=None)
-
-    p = sub.add_parser("predict", help="run the prediction tasks under spatial CV")
-    _add_common(p)
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--t0", type=int, default=None)
-    p.add_argument("--feature-sets", dest="feature_sets", default=None)
-    p.add_argument("--models", dest="models", default=None)
-    p.add_argument("--n-trees", dest="n_trees", type=int, default=None)
-    p.add_argument("--no-impute", dest="impute", action="store_false", default=None)
-    p.add_argument("--reference-policy", dest="reference_policy", default=None)
-    p.add_argument("--reference-year", dest="reference_year", type=int, default=None)
-
-    p = sub.add_parser("report", help="metadata distribution tables")
-    _add_common(p)
-
+    for name, handler in _HANDLERS.items():
+        p = sub.add_parser(name, help=handler.__doc__)
+        if name == "references":
+            p.add_argument("action", choices=["classify", "build", "outliers"])
+        p.add_argument("--config", help="flat key = value config file")
+        p.add_argument("--output-dir", required=True)
+        p.add_argument("--inputs-dir",
+                       help="directory holding the standard input CSV filenames")
+        # Flags take text: _resolve_settings parses and checks it as it
+        # does a config value.
+        for key, row in _SETTINGS.items():
+            if name not in row.commands:
+                continue
+            flag = row.flag or f"--{key.replace('_', '-')}"
+            if row.parse is _bool:
+                # Every boolean defaults to true; its flag switches it off.
+                p.add_argument(flag, dest=key, action="store_const", const="false",
+                               help=row.help)
+            else:
+                p.add_argument(flag, dest=key, help=row.help)
     return parser
 
 

@@ -121,9 +121,6 @@ class FoldAssignment:
     assignment: Mapping[str, int]
     centroids: tuple[tuple[float, float], ...]
 
-    def fold_sites(self, fold: int) -> list[str]:
-        return sorted(sid for sid, f in self.assignment.items() if f == fold)
-
 
 def spatial_kfold(sites: Sequence[SiteRecord], k: int = 5, seed: int = 0) -> FoldAssignment:
     """Assign each site to a geographic fold by k-means on (lon, lat)."""

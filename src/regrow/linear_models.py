@@ -64,9 +64,6 @@ class LogisticModel:
         Z = (np.asarray(X, dtype=np.float64) - self.feature_mean) / self.feature_scale
         return Z @ self.weights + self.bias
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return _softmax(self._scores(X))
-
     def predict(self, X: np.ndarray) -> list[str]:
         # argmax takes the first maximum; classes are sorted, so ties break
         # to the lexicographically smallest label.

@@ -61,19 +61,6 @@ _BLOCKS = {
 }
 
 
-def feature_columns(feature_set: FeatureSet, dim: int) -> list[str]:
-    """Documented column layout for one feature set."""
-    cols: list[str] = []
-    for block in _BLOCKS[feature_set]:
-        if block == "cov":
-            cols.extend(CovariateSet.FIELD_NAMES)
-        elif block == "spec":
-            cols.extend(("ndvi", "evi"))
-        else:
-            cols.extend(f"emb_{i}" for i in range(dim))
-    return cols
-
-
 def build_features(
     site: SiteRecord,
     feature_set: FeatureSet,

@@ -52,10 +52,16 @@ def classify_stability(
     b, and a != b. Stable takes precedence. The series must cover the
     stable window and both change windows, else InsufficientSeriesError.
     """
+    if min_stable_years < 1:
+        raise InvalidValueError(f"min_stable_years must be at least 1, got {min_stable_years}")
     stable_first = end_year - min_stable_years + 1
+    # Every year of the three windows, which may reach past end_year.
     missing = [
         y
-        for y in range(min(stable_first, change_from[0]), end_year + 1)
+        for y in range(
+            min(stable_first, change_from[0], change_to[0]),
+            max(end_year, change_from[1], change_to[1]) + 1,
+        )
         if y not in series
         and (stable_first <= y <= end_year
              or change_from[0] <= y <= change_from[1]

@@ -79,15 +79,13 @@ class TestLogistic:
         with pytest.raises(SingleClassError):
             train_logistic(np.zeros((10, 2)), ["a"] * 10)
 
-    def test_multiclass_and_probabilities(self):
+    def test_multiclass(self):
         rng = np.random.default_rng(4)
         centers = {"a": (0, 0), "b": (8, 0), "c": (0, 8)}
         X = np.vstack([rng.normal(c, 1.0, size=(40, 2)) for c in centers.values()])
         y = [lab for lab in centers for _ in range(40)]
         model = train_logistic(X, y, seed=1)
-        proba = model.predict_proba(X)
-        assert proba.shape == (120, 3)
-        assert np.allclose(proba.sum(axis=1), 1.0, atol=1e-9)
+        assert model.classes == ("a", "b", "c")
         acc = np.mean([p == t for p, t in zip(model.predict(X), y)])
         assert acc >= 0.98
 

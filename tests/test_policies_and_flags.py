@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from regrow.cli import main
@@ -12,7 +13,7 @@ from regrow.core import (
     Stability,
 )
 from regrow.errors import NoSecondaryForestPointsError, ZeroVectorError
-from regrow.prediction import FeatureSet, feature_columns
+from regrow.prediction import FeatureSet, build_features
 from regrow.references import (
     ReferenceYearPolicy,
     build_reference_set,
@@ -111,14 +112,17 @@ class TestFeatureColumns:
             (FeatureSet.ALL, 75),
         ],
     )
-    def test_declared_layout(self, feature_set, count):
-        cols = feature_columns(feature_set, dim=64)
-        assert len(cols) == count
+    def test_declared_layout(self, small_world, feature_set, count):
+        site = small_world[0].sites[0]
+        year = site.start_year
+        row = build_features(site, feature_set, year, dim=64)
+        assert row.shape == (count,)
         # Fixed concatenation order: covariates, spectral, embeddings.
         if feature_set is FeatureSet.ALL:
-            assert cols[0] == "precip_mm"
-            assert cols[9] == "ndvi"
-            assert cols[11] == "emb_0"
+            spec = site.spectral[year]
+            assert np.array_equal(row[:9], site.covariates[year].as_array())
+            assert np.array_equal(row[9:11], [spec.ndvi, spec.evi])
+            assert np.array_equal(row[11:], site.embeddings[year].values)
 
 
 @pytest.fixture(scope="module")

@@ -15,6 +15,7 @@ from regrow.core import (
 )
 from regrow.errors import (
     InsufficientSeriesError,
+    InvalidValueError,
     NoCentroidForClassError,
     NoSecondaryForestPointsError,
 )
@@ -66,6 +67,20 @@ class TestClassifyStability:
     def test_insufficient_series(self):
         with pytest.raises(InsufficientSeriesError):
             classify_stability(constant_series(PASTURE, 2018, 2024))
+
+    @pytest.mark.parametrize("change_from, change_to, missing", [
+        ((2017, 2020), (2030, 2031), [2030, 2031]),
+        ((1990, 1991), (2021, 2024), [1990, 1991]),
+    ])
+    def test_change_windows_outside_the_stable_window(self, change_from, change_to, missing):
+        with pytest.raises(InsufficientSeriesError, match=str(missing).replace("[", r"\[")):
+            classify_stability(constant_series(PASTURE), change_from=change_from,
+                               change_to=change_to)
+
+    @pytest.mark.parametrize("years", [0, -1])
+    def test_stable_window_of_no_years_is_invalid(self, years):
+        with pytest.raises(InvalidValueError, match="min_stable_years"):
+            classify_stability(constant_series(PASTURE), min_stable_years=years)
 
     def test_stable_takes_precedence(self):
         # 10+ equal years ending 2024 also satisfies neither-changing via a==b.
