@@ -135,15 +135,17 @@ class _Key:
     help: str | None = None
 
 
-_EVERY = ("synth", "validate", "references", "trajectories", "project", "predict", "report")
+#: The subcommands that read the input tables: all but synth.
+_READERS = ("validate", "references", "trajectories", "project", "predict", "report")
+_EVERY = ("synth", *_READERS)
 _BUILDS_REFERENCES = ("references", "trajectories", "predict")
 _SYNTH = ("synth",)
 
 #: Every setting. A key with no subcommands is set in the config file only.
 _SETTINGS = {
-    **{key: _Key(None, commands=_EVERY, help=f"path to {key}.csv") for key in _INPUT_KEYS},
+    **{key: _Key(None, commands=_READERS, help=f"path to {key}.csv") for key in _INPUT_KEYS},
     "seed": _Key(0, _int, _at_least(0), _EVERY),
-    "threads": _Key(None, _int, _at_least(1), _EVERY, help=(
+    "threads": _Key(None, _int, _at_least(1), ("synth", "predict"), help=(
         "cap on worker processes (default: every available core; "
         "results do not depend on it)")),
     "first_year": _Key(2017, _int, commands=_SYNTH),
@@ -201,6 +203,21 @@ _WINDOWS = (
     ("change_to_first", "change_to_last"),
 )
 
+#: synth's other cross-key rules: (keys, test, message).
+_SYNTH_RULES = (
+    (("first_year", "last_year", "start_year_spread"),
+     lambda s: s["first_year"] + s["start_year_spread"] <= s["last_year"],
+     "start_year_spread ({start_year_spread}) exceeds the year window "
+     "{first_year}-{last_year}"),
+    (("n_sites", "n_classes"),
+     lambda s: s["n_sites"] == 0 or s["n_classes"] >= 3,
+     "generating sites requires n_classes >= 3, got {n_classes}"),
+    (("first_year", "last_year", "lulc_first_year", "lulc_last_year"),
+     lambda s: s["lulc_first_year"] <= s["first_year"] and s["last_year"] <= s["lulc_last_year"],
+     "the LULC years {lulc_first_year}-{lulc_last_year} must cover the embedding "
+     "years {first_year}-{last_year}"),
+)
+
 
 def _config_lines(path: str | Path):
     """(key, value text, 1-based line) of each setting in a config file."""
@@ -226,7 +243,8 @@ def _resolve_settings(args: argparse.Namespace) -> dict[str, object]:
 
     Config lines, in file order, then flags go through their key's parser
     and check. A bad value is an ``invalid_value`` error at its config line,
-    or naming its flag when a flag set it.
+    or naming its flag when a flag set it; so is a broken cross-key rule,
+    blamed on the key set last, and an input path that names no file.
     """
     settings = {key: row.default for key, row in _SETTINGS.items()}
     # Where each key not left at its default was set: its config line, or
@@ -251,23 +269,35 @@ def _resolve_settings(args: argparse.Namespace) -> dict[str, object]:
     if args.config:
         for key, text, lineno in _config_lines(args.config):
             assign(key, text, lineno)
-    if args.inputs_dir:
+    inputs_dir = getattr(args, "inputs_dir", None)
+    if inputs_dir:
         for key in _INPUT_KEYS:
             if settings[key] is None:
-                candidate = Path(args.inputs_dir) / f"{key}.csv"
+                candidate = Path(inputs_dir) / f"{key}.csv"
                 if candidate.exists():
                     settings[key] = str(candidate)
     for key in _SETTINGS:
         text = getattr(args, key, None)
         if text is not None:
             assign(key, text, math.inf)
+
+    def last_set(keys) -> str:
+        return max(keys, key=lambda k: set_at.get(k, -1))
+
     for first, last in _WINDOWS:
         if settings[first] > settings[last]:
-            # Blame the key set last: a flag, else the later config line.
-            key = max((last, first), key=lambda k: set_at.get(k, -1))
             raise invalid(
-                key, f"{first} ({settings[first]}) is after {last} ({settings[last]})"
+                last_set((last, first)),
+                f"{first} ({settings[first]}) is after {last} ({settings[last]})",
             )
+    if args.subcommand == "synth":
+        for keys, holds, message in _SYNTH_RULES:
+            if not holds(settings):
+                raise invalid(last_set(keys), message.format(**settings))
+    else:
+        for key in _INPUT_KEYS:
+            if settings[key] and not Path(settings[key]).is_file():
+                raise invalid(key, f"{key} names no file: {settings[key]!r}")
     return settings
 
 
@@ -285,6 +315,8 @@ class RunOutputs:
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.paths: list[Path] = []
+        #: The input files the run read, hashed into its manifest.
+        self.inputs: list[str] = []
 
     def add(self, path: Path) -> Path:
         self.paths.append(path)
@@ -297,7 +329,7 @@ class RunOutputs:
         for path in self.paths:
             path.unlink(missing_ok=True)
 
-    def write_manifest(self, subcommand: str, settings: dict, input_paths: list[str]):
+    def write_manifest(self, subcommand: str, settings: dict):
         # The worker cap changes how a run executes, never what it writes.
         settings = {k: v for k, v in settings.items() if k != "threads"}
         config_text = "\n".join(
@@ -308,9 +340,7 @@ class RunOutputs:
             "config": {k: str(v) for k, v in sorted(settings.items()) if v is not None},
             "config_hash": hashlib.sha256(config_text.encode()).hexdigest(),
             "seed": settings.get("seed"),
-            "inputs": {
-                p: _sha256_file(Path(p)) for p in sorted(input_paths) if Path(p).exists()
-            },
+            "inputs": {p: _sha256_file(Path(p)) for p in sorted(self.inputs)},
             "artifacts": {
                 str(p.relative_to(self.out_dir)): _sha256_file(p)
                 for p in sorted(self.paths)
@@ -323,23 +353,15 @@ class RunOutputs:
             fh.write("\n")
 
 
-def _require(settings: dict, *keys: str) -> list[str]:
-    missing = [k for k in keys if not settings[k]]
+def _load_dataset(settings: dict, outputs: RunOutputs):
+    """The dataset and the sites it skipped; ``outputs`` records each input file read."""
+    missing = [k for k in ("embeddings", "sites", "reference_points") if not settings[k]]
     if missing:
         raise InvalidValueError(
             f"missing required input path(s): {', '.join(missing)} "
             "(set via config file, flags, or --inputs-dir)"
         )
-    absent = [str(settings[k]) for k in keys if not Path(str(settings[k])).exists()]
-    if absent:
-        raise InvalidValueError(f"input file(s) do not exist: {', '.join(absent)}")
-    return [str(settings[k]) for k in keys]
-
-
-def _load_dataset(settings: dict):
-    """The dataset, the sites it skipped, and the paths of the three
-    required inputs."""
-    inputs = _require(settings, "embeddings", "sites", "reference_points")
+    outputs.inputs = [settings[k] for k in _INPUT_KEYS if settings[k]]
     dataset, skipped = ingest.load_dataset(
         embeddings_path=settings["embeddings"],
         sites_path=settings["sites"],
@@ -350,7 +372,7 @@ def _load_dataset(settings: dict):
         window=(settings["first_year"], settings["last_year"]),
         lulc_years=(settings["lulc_first_year"], settings["lulc_last_year"]),
     )
-    return dataset, skipped, inputs
+    return dataset, skipped
 
 
 def _classify_kwargs(settings: dict) -> dict:
@@ -363,9 +385,7 @@ def _classify_kwargs(settings: dict) -> dict:
 
 
 def _policy(settings: dict) -> ReferenceYearPolicy:
-    if settings["reference_policy"] == "per_year":
-        return ReferenceYearPolicy.per_year(settings["reference_year"])
-    return ReferenceYearPolicy.fixed(settings["reference_year"])
+    return ReferenceYearPolicy(settings["reference_policy"], settings["reference_year"])
 
 
 def _classified_references(dataset, settings):
@@ -377,7 +397,7 @@ def _classified_references(dataset, settings):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_synth(args, settings, outputs: RunOutputs) -> list[str]:
+def _cmd_synth(args, settings, outputs: RunOutputs) -> None:
     """generate a synthetic world with ground truth"""
     knobs = {key: settings[key] for key in (
         "seed", "dim", "n_classes", "points_per_class", "n_sites", "noise_sigma",
@@ -394,12 +414,11 @@ def _cmd_synth(args, settings, outputs: RunOutputs) -> list[str]:
     write_world(
         dataset, truth, outputs.out_dir, on_write=outputs.add, threads=settings["threads"]
     )
-    return []
 
 
-def _cmd_validate(args, settings, outputs: RunOutputs) -> list[str]:
+def _cmd_validate(args, settings, outputs: RunOutputs) -> None:
     """ingest inputs and report the drop funnel"""
-    dataset, skipped, inputs = _load_dataset(settings)
+    dataset, skipped = _load_dataset(settings, outputs)
     kept, report = ingest.filter_sites(
         list(dataset.sites),
         min_area_ha=settings["min_area_ha"],
@@ -414,13 +433,11 @@ def _cmd_validate(args, settings, outputs: RunOutputs) -> list[str]:
         [("no_embedding_years", sid) for sid in skipped],
     )
     print(f"validate: {report.n_input} sites in, {len(kept)} kept")
-    return inputs
 
 
-def _cmd_references(args, settings, outputs: RunOutputs) -> list[str]:
+def _cmd_references(args, settings, outputs: RunOutputs) -> None:
     """classify stability, build references, rank outliers"""
-    dataset, _, _ = _load_dataset(settings)
-    inputs = [settings["embeddings"], settings["reference_points"]]
+    dataset, _ = _load_dataset(settings, outputs)
     points = _classified_references(dataset, settings)
 
     if args.action == "classify":
@@ -436,7 +453,7 @@ def _cmd_references(args, settings, outputs: RunOutputs) -> list[str]:
                 )
             )
         outputs.write_csv("stability.csv", ["point_id", "stability", "class_from", "class_to"], rows)
-        return inputs
+        return
 
     refset = build_reference_set(points, _policy(settings))
     if args.action == "build":
@@ -459,7 +476,7 @@ def _cmd_references(args, settings, outputs: RunOutputs) -> list[str]:
             ["point_id", "lon", "lat"],
             ((p.point_id, p.lon, p.lat) for p in refset.secondary_points),
         )
-        return inputs
+        return
 
     # outliers
     rows = []
@@ -474,12 +491,11 @@ def _cmd_references(args, settings, outputs: RunOutputs) -> list[str]:
             for rank, (pid, dist) in enumerate(report.ranked, start=1)
         )
     outputs.write_csv("outliers.csv", ["class", "rank", "point_id", "distance"], rows)
-    return inputs
 
 
-def _cmd_trajectories(args, settings, outputs: RunOutputs) -> list[str]:
+def _cmd_trajectories(args, settings, outputs: RunOutputs) -> None:
     """similarity trajectories, aggregates, baselines"""
-    dataset, _, inputs = _load_dataset(settings)
+    dataset, _ = _load_dataset(settings, outputs)
     points = _classified_references(dataset, settings)
     refset = build_reference_set(points, _policy(settings))
 
@@ -539,13 +555,11 @@ def _cmd_trajectories(args, settings, outputs: RunOutputs) -> list[str]:
             "baselines.csv", ["band", "value"],
             [("upper", band.upper), ("lower", band.lower)],
         )
-    return inputs
 
 
-def _cmd_project(args, settings, outputs: RunOutputs) -> list[str]:
+def _cmd_project(args, settings, outputs: RunOutputs) -> None:
     """2D projection tables and silhouette score"""
-    dataset, _, _ = _load_dataset(settings)
-    inputs = [settings["embeddings"], settings["reference_points"]]
+    dataset, _ = _load_dataset(settings, outputs)
     points = _classified_references(dataset, settings)
     year = settings["reference_year"]
 
@@ -577,12 +591,11 @@ def _cmd_project(args, settings, outputs: RunOutputs) -> list[str]:
         [p.stability.stable_class.label for p in stable],
     )
     outputs.write_csv("silhouette.csv", ["metric", "value"], [("cosine_silhouette", score)])
-    return inputs
 
 
-def _cmd_predict(args, settings, outputs: RunOutputs) -> list[str]:
+def _cmd_predict(args, settings, outputs: RunOutputs) -> None:
     """run the prediction tasks under spatial CV"""
-    dataset, _, inputs = _load_dataset(settings)
+    dataset, _ = _load_dataset(settings, outputs)
     points = _classified_references(dataset, settings)
     refset = build_reference_set(points, _policy(settings))
     feature_sets = _parse_enum_list(settings["feature_sets"], FeatureSet)
@@ -632,15 +645,14 @@ def _cmd_predict(args, settings, outputs: RunOutputs) -> list[str]:
         agg_rows,
     )
     outputs.write_csv("excluded_sites.csv", ["task", "site_id"], sorted(set(excluded_rows)))
-    return inputs
 
 
 _AREA_BIN_EDGES = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, float("inf"))
 
 
-def _cmd_report(args, settings, outputs: RunOutputs) -> list[str]:
+def _cmd_report(args, settings, outputs: RunOutputs) -> None:
     """metadata distribution tables"""
-    dataset, _, inputs = _load_dataset(settings)
+    dataset, _ = _load_dataset(settings, outputs)
     sites = dataset.sites
 
     strategy_counts: dict[str, int] = {s.value: 0 for s in Strategy}
@@ -669,7 +681,6 @@ def _cmd_report(args, settings, outputs: RunOutputs) -> list[str]:
         ["bin_low", "bin_high", "count"],
         [(lo, hi, c) for (lo, hi), c in zip(bins, counts)],
     )
-    return inputs
 
 
 _HANDLERS = {
@@ -695,8 +706,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("action", choices=["classify", "build", "outliers"])
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--output-dir", required=True)
-        p.add_argument("--inputs-dir",
-                       help="directory holding the standard input CSV filenames")
+        if name in _READERS:
+            p.add_argument("--inputs-dir",
+                           help="directory holding the standard input CSV filenames")
         # Flags take text: _resolve_settings parses and checks it as it
         # does a config value.
         for key, row in _SETTINGS.items():
@@ -718,8 +730,8 @@ def main(argv=None) -> int:
     outputs = RunOutputs(Path(args.output_dir))
     try:
         settings = _resolve_settings(args)
-        input_paths = _HANDLERS[args.subcommand](args, settings, outputs)
-        outputs.write_manifest(args.subcommand, settings, input_paths)
+        _HANDLERS[args.subcommand](args, settings, outputs)
+        outputs.write_manifest(args.subcommand, settings)
     except RegrowError as exc:
         outputs.discard()
         record = {"error": exc.code, "message": str(exc), "file": exc.file, "line": exc.line}

@@ -174,7 +174,11 @@ class _Table:
         self._quoted = '"' in text
         if self._quoted:
             # Quoted fields may hold commas and line breaks: csv splits them.
-            records = list(csv.reader(io.StringIO(text, newline="")))
+            reader = csv.reader(io.StringIO(text, newline=""))
+            try:
+                records = list(reader)
+            except csv.Error as exc:  # e.g. an unclosed quote past the field limit
+                raise CsvParseError(str(exc), line=reader.line_num, file=str(self.path)) from None
         else:
             if "\r" in text:
                 text = text.replace("\r\n", "\n").replace("\r", "\n")

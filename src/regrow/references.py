@@ -8,7 +8,7 @@ lookup for local similarity, and centroid-distance outlier ranking.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal, Mapping, Sequence
 
@@ -106,6 +106,10 @@ class ReferenceYearPolicy:
     kind: Literal["fixed", "per_year"]
     year: int
 
+    def __post_init__(self):
+        if self.kind not in ("fixed", "per_year"):
+            raise InvalidValueError(f"unknown reference-year policy {self.kind!r}")
+
     @classmethod
     def fixed(cls, year: int = 2024) -> "ReferenceYearPolicy":
         return cls("fixed", year)
@@ -124,44 +128,52 @@ class SecondaryPoint:
 
 
 @dataclass(frozen=True)
-class ReferenceSet:
-    """Global reference vector, class centroids, and the secondary points.
+class ReferenceTable:
+    """One year's class centroids and secondary-forest embeddings by point id."""
 
-    ``global_ref`` and ``centroids`` are computed at the policy year (the
-    anchor year under the per-year policy); the per-year tables back the
-    per-year lookups.
+    centroids: Mapping[LULCClass, EmbeddingVector]
+    secondary: Mapping[str, EmbeddingVector]
+
+
+_NO_TABLE = ReferenceTable({}, {})
+
+
+@dataclass(frozen=True)
+class ReferenceSet:
+    """The secondary points of the policy year, and a reference table for
+    each year the policy serves.
+
+    ``tables`` holds only the policy year under the fixed policy, and every
+    year with a stable secondary-forest point under the per-year policy.
     """
 
     policy: ReferenceYearPolicy
-    global_ref: EmbeddingVector
-    centroids: Mapping[LULCClass, EmbeddingVector]
     secondary_points: tuple[SecondaryPoint, ...]
-    global_by_year: Mapping[int, EmbeddingVector] = field(default_factory=dict)
-    centroids_by_year: Mapping[int, Mapping[LULCClass, EmbeddingVector]] = field(
-        default_factory=dict
-    )
-    secondary_by_year: Mapping[str, Mapping[int, EmbeddingVector]] = field(
-        default_factory=dict
-    )
+    tables: Mapping[int, ReferenceTable]
+
+    def reference_year(self, year: int | None = None) -> int:
+        """The year whose table serves a sample of ``year`` (None: the policy year)."""
+        if self.policy.kind == "fixed" or year is None:
+            return self.policy.year
+        return year
+
+    def _table(self, year: int | None) -> ReferenceTable:
+        return self.tables.get(self.reference_year(year), _NO_TABLE)
 
     def global_reference(self, year: int | None = None) -> EmbeddingVector:
-        if self.policy.kind == "fixed" or year is None:
-            return self.global_ref
-        ref = self.global_by_year.get(year)
+        ref = self._table(year).centroids.get(SECONDARY_FOREST)
         if ref is None:
             raise NoSecondaryForestPointsError(
-                f"no stable secondary-forest embeddings for year {year}"
+                f"no stable secondary-forest embeddings for year {self.reference_year(year)}"
             )
         return ref
 
     def class_centroids(self, year: int | None = None) -> Mapping[LULCClass, EmbeddingVector]:
-        if self.policy.kind == "fixed" or year is None:
-            return self.centroids
-        return self.centroids_by_year.get(year, {})
+        return self._table(year).centroids
 
-    @cached_property
-    def _secondary_by_id(self) -> dict[str, EmbeddingVector]:
-        return {p.point_id: p.embedding for p in self.secondary_points}
+    # The policy year's global reference and class centroids.
+    global_ref = property(global_reference)
+    centroids = property(class_centroids)
 
     @cached_property
     def _secondary_coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -174,16 +186,11 @@ class ReferenceSet:
         )
 
     def secondary_embedding(self, point_id: str, year: int | None = None) -> EmbeddingVector:
-        if self.policy.kind == "fixed" or year is None:
-            emb = self._secondary_by_id.get(point_id)
-            if emb is None:
-                raise NoSecondaryForestPointsError(f"unknown secondary point {point_id!r}")
-            return emb
-        by_year = self.secondary_by_year.get(point_id, {})
-        emb = by_year.get(year)
+        emb = self._table(year).secondary.get(point_id)
         if emb is None:
             raise NoSecondaryForestPointsError(
-                f"secondary point {point_id!r} has no embedding for year {year}"
+                f"secondary point {point_id!r} has no embedding for year "
+                f"{self.reference_year(year)}"
             )
         return emb
 
@@ -225,53 +232,38 @@ def build_reference_set(
 ) -> ReferenceSet:
     """Build the reference set from stability-classified points.
 
-    The global reference is the componentwise mean embedding of the stable
-    secondary-forest members at the policy year; class centroids are built
+    Each year's global reference is the componentwise mean embedding of the
+    stable secondary-forest members at that year; class centroids are built
     the same way for every stable class with at least one member.
     """
     policy = policy or ReferenceYearPolicy.fixed()
-    anchor = policy.year
-
-    def build_for_year(year: int):
+    if policy.kind == "fixed":
+        years = [policy.year]
+    else:
+        years = sorted({y for p in points for y in p.embeddings})
+    tables: dict[int, ReferenceTable] = {}
+    secondary_points: tuple[SecondaryPoint, ...] = ()
+    for year in years:
         members = _stable_members_by_class(points, year)
-        centroids = {
-            cls: _mean_embedding([(pid, p.embeddings[year]) for pid, p in pts])
-            for cls, pts in members.items()
-        }
-        secondary = tuple(
-            SecondaryPoint(pid, p.lon, p.lat, p.embeddings[year])
-            for pid, p in sorted(members.get(SECONDARY_FOREST, []))
+        if SECONDARY_FOREST not in members:
+            continue
+        secondary = sorted(members[SECONDARY_FOREST])
+        tables[year] = ReferenceTable(
+            centroids={
+                cls: _mean_embedding([(pid, p.embeddings[year]) for pid, p in pts])
+                for cls, pts in members.items()
+            },
+            secondary={pid: p.embeddings[year] for pid, p in secondary},
         )
-        return centroids, secondary
-
-    anchor_centroids, anchor_secondary = build_for_year(anchor)
-    if SECONDARY_FOREST not in anchor_centroids:
+        if year == policy.year:
+            secondary_points = tuple(
+                SecondaryPoint(pid, p.lon, p.lat, p.embeddings[year]) for pid, p in secondary
+            )
+    if policy.year not in tables:
         raise NoSecondaryForestPointsError(
-            f"no stable secondary-forest point with an embedding for year {anchor}"
+            f"no stable secondary-forest point with an embedding for year {policy.year}"
         )
-
-    global_by_year: dict[int, EmbeddingVector] = {}
-    centroids_by_year: dict[int, Mapping[LULCClass, EmbeddingVector]] = {}
-    secondary_by_year: dict[str, dict[int, EmbeddingVector]] = {}
-    if policy.kind == "per_year":
-        all_years = sorted({y for p in points for y in p.embeddings})
-        for year in all_years:
-            centroids, secondary = build_for_year(year)
-            if SECONDARY_FOREST in centroids:
-                global_by_year[year] = centroids[SECONDARY_FOREST]
-                centroids_by_year[year] = centroids
-            for sp in secondary:
-                secondary_by_year.setdefault(sp.point_id, {})[year] = sp.embedding
-
-    return ReferenceSet(
-        policy=policy,
-        global_ref=anchor_centroids[SECONDARY_FOREST],
-        centroids=anchor_centroids,
-        secondary_points=anchor_secondary,
-        global_by_year=global_by_year,
-        centroids_by_year=centroids_by_year,
-        secondary_by_year=secondary_by_year,
-    )
+    return ReferenceSet(policy=policy, secondary_points=secondary_points, tables=tables)
 
 
 def find_local_reference(site: SiteRecord, refset: ReferenceSet) -> tuple[str, float]:

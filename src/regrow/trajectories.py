@@ -21,7 +21,6 @@ from .core import (
     PRIMARY_FOREST,
     ReferencePoint,
     SiteRecord,
-    StabilityKind,
     cosine_similarities,
     cosine_similarity,
 )
@@ -31,7 +30,7 @@ from .errors import (
     NoEmbeddingsError,
     TooFewCentroidsError,
 )
-from .references import ReferenceSet, find_local_reference
+from .references import ReferenceSet, _stable_members_by_class, find_local_reference
 
 __all__ = [
     "cosine_similarity",
@@ -191,21 +190,15 @@ def compute_baselines(
     """
     year = refset.policy.year
     ref = refset.global_ref
+    members = _stable_members_by_class(sorted(points, key=lambda p: p.point_id), year)
 
     def band(target: LULCClass) -> float:
-        members = [
-            p
-            for p in sorted(points, key=lambda p: p.point_id)
-            if p.stability.kind is StabilityKind.STABLE
-            and p.stability.stable_class == target
-            and year in p.embeddings
-        ]
-        if not members:
+        if target not in members:
             raise MissingBaselineClassError(
                 f"no stable {target.label} point with an embedding for year {year}"
             )
-        sims = cosine_similarities(_matrix(p.embeddings[year] for p in members), ref.values)
-        return _clamp(float(sims.mean()))
+        embs = _matrix(p.embeddings[year] for _, p in members[target])
+        return _clamp(float(cosine_similarities(embs, ref.values).mean()))
 
     return BaselineBand(upper=band(PRIMARY_FOREST), lower=band(PASTURE))
 
@@ -308,25 +301,22 @@ def classify_trajectory(site: SiteRecord, refset: ReferenceSet) -> ClassTrajecto
             f"need at least 2 class centroids, have {len(refset.centroids)}"
         )
 
-    tables = [refset.class_centroids(year) for year in years]
-    for year, table in zip(years, tables):
-        if len(table) < 2:
-            raise TooFewCentroidsError(f"fewer than 2 class centroids for year {year}")
+    # One (years x classes) call per reference table: a single call under
+    # the fixed policy, one per year under the per-year policy.
+    groups: dict[int, list[int]] = {}
+    for i, year in enumerate(years):
+        groups.setdefault(refset.reference_year(year), []).append(i)
     emb = _matrix(site.embeddings.values())
-    # One (years x classes) call when every year reads the same table (the
-    # fixed policy), else one call per year.
-    if all(table is tables[0] for table in tables):
-        groups = [(emb, tables[0])]
-    else:
-        groups = [(emb[i : i + 1], table) for i, table in enumerate(tables)]
-    nearest: list[tuple[LULCClass, float]] = []
-    for rows, table in groups:
+    samples: list[tuple[int, LULCClass, float]] = [None] * len(years)
+    for ref_year, rows in groups.items():
+        table = refset.class_centroids(ref_year)
+        if len(table) < 2:
+            raise TooFewCentroidsError(f"fewer than 2 class centroids for year {ref_year}")
         classes = sorted(table, key=lambda c: c.label)
-        sims = cosine_similarities(rows[:, None, :], _matrix(table[c] for c in classes))
+        sims = cosine_similarities(emb[rows, None, :], _matrix(table[c] for c in classes))
         # argmax keeps the first of equal maxima: ties go to the smaller label.
-        best = [classes[j] for j in sims.argmax(axis=1).tolist()]
-        nearest.extend(zip(best, sims.max(axis=1).tolist()))
-    samples = [(year, cls, _clamp(sim)) for year, (cls, sim) in zip(years, nearest)]
+        for i, j, sim in zip(rows, sims.argmax(axis=1).tolist(), sims.max(axis=1).tolist()):
+            samples[i] = (years[i], classes[j], _clamp(sim))
 
     transitions = [
         (curr[0], prev[1], curr[1])

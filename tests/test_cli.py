@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 
@@ -328,6 +329,36 @@ class TestManifestReproducibility:
         assert manifest2["config_hash"] == manifest["config_hash"]
         for name in manifest["artifacts"]:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+_INPUTS = ("embeddings", "sites", "spectral", "covariates", "reference_points", "lulc_codes")
+_READERS = [
+    ["validate"], ["references", "classify"], ["references", "build"],
+    ["references", "outliers"], ["trajectories"], ["project"], ["report"],
+    ["predict", "--models", "linear", "--feature-sets", "covariates", "--folds", "2"],
+]
+
+
+class TestManifestInputs:
+    @pytest.mark.parametrize("command", _READERS, ids=lambda c: "-".join(c[:2]))
+    def test_every_input_set_is_hashed(self, world_dir, tmp_path, command):
+        out = tmp_path / "out"
+        assert run([*command, "--inputs-dir", world_dir, "--output-dir", out]) == 0
+        manifest = json.loads((out / f"manifest_{command[0]}.json").read_text())
+        assert manifest["inputs"] == {
+            str(world_dir / f"{key}.csv"): hashlib.sha256(
+                (world_dir / f"{key}.csv").read_bytes()).hexdigest()
+            for key in _INPUTS
+        }
+
+    def test_only_the_inputs_set_are_hashed(self, world_dir, tmp_path):
+        out = tmp_path / "out"
+        required = ("embeddings", "sites", "reference_points")
+        flags = [f for key in required
+                 for f in (f"--{key.replace('_', '-')}", world_dir / f"{key}.csv")]
+        assert run(["trajectories", *flags, "--output-dir", out]) == 0
+        manifest = json.loads((out / "manifest_trajectories.json").read_text())
+        assert sorted(manifest["inputs"]) == sorted(str(world_dir / f"{k}.csv") for k in required)
 
 
 class TestReportCommand:

@@ -277,6 +277,16 @@ class TestLocatedErrors:
             load_embeddings(path)
         assert (err.value.file, err.value.line) == (str(path), 3)
 
+    def test_unclosed_quote_past_the_field_limit_is_a_located_parse_error(self, tmp_path):
+        # The quote opens a field that runs to the end of the file, longer
+        # than the csv module reads.
+        rows = [f"s{i},2020,0.1,0.2,0.3,0.4" for i in range(8000)]
+        path = embeddings_csv(tmp_path, rows)
+        path.write_text('"' + path.read_text(encoding="utf-8"), encoding="utf-8")
+        with pytest.raises(CsvParseError) as err:
+            load_embeddings(path)
+        assert err.value.file == str(path) and isinstance(err.value.line, int)
+
     def test_synth_world_is_parsed_in_bulk(self, small_world, world_dir, monkeypatch):
         def cell_by_cell(*args):
             raise AssertionError("numeric cell parsed one at a time")

@@ -149,9 +149,12 @@ class TestCliPolicyAndThreads:
         outs = []
         for threads in ("1", "4"):
             out = tmp_path / f"t{threads}"
+            # `references` takes no --threads flag; the setting stays valid in a config file.
+            cfg = tmp_path / f"t{threads}.cfg"
+            cfg.write_text(f"threads = {threads}\n")
             assert main([
                 "references", "outliers", "--inputs-dir", str(world),
-                "--output-dir", str(out), "--threads", threads,
+                "--output-dir", str(out), "--config", str(cfg),
             ]) == 0
             outs.append((out / "outliers.csv").read_bytes())
         assert outs[0] == outs[1]

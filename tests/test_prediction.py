@@ -29,7 +29,7 @@ from regrow.prediction import (
     models_for_task,
     r_squared,
 )
-from regrow.references import ReferenceSet, ReferenceYearPolicy
+from regrow.references import ReferenceSet, ReferenceTable, ReferenceYearPolicy
 
 from conftest import make_site, vec
 
@@ -46,9 +46,8 @@ def refset_with_global(u: np.ndarray) -> ReferenceSet:
     ref = EmbeddingVector(u)
     return ReferenceSet(
         policy=ReferenceYearPolicy.fixed(2024),
-        global_ref=ref,
-        centroids={SECONDARY_FOREST: ref},
         secondary_points=(),
+        tables={2024: ReferenceTable(centroids={SECONDARY_FOREST: ref}, secondary={})},
     )
 
 

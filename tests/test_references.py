@@ -22,6 +22,7 @@ from regrow.errors import (
 from regrow.geo import haversine_km
 from regrow.references import (
     ReferenceSet,
+    ReferenceTable,
     ReferenceYearPolicy,
     SecondaryPoint,
     build_reference_set,
@@ -175,15 +176,18 @@ class TestFindLocalReference:
 
     def test_lookups_ignore_point_order(self):
         # Built by hand, so the points are not sorted by id.
+        points = (
+            SecondaryPoint("c", 1.0, 1.5, vec(0.0, 1.0)),
+            SecondaryPoint("b", 1.0, 1.0, vec(1.0, 1.0)),
+            SecondaryPoint("a", 1.0, 1.0, vec(1.0, 0.0)),
+        )
         refset = ReferenceSet(
             policy=ReferenceYearPolicy.fixed(),
-            global_ref=vec(1.0, 0.0),
-            centroids={SECONDARY_FOREST: vec(1.0, 0.0)},
-            secondary_points=(
-                SecondaryPoint("c", 1.0, 1.5, vec(0.0, 1.0)),
-                SecondaryPoint("b", 1.0, 1.0, vec(1.0, 1.0)),
-                SecondaryPoint("a", 1.0, 1.0, vec(1.0, 0.0)),
-            ),
+            secondary_points=points,
+            tables={2024: ReferenceTable(
+                centroids={SECONDARY_FOREST: vec(1.0, 0.0)},
+                secondary={p.point_id: p.embedding for p in points},
+            )},
         )
         site = make_site(embeddings={2020: vec(1.0, 0.0)}, centroid_lon=1.0, centroid_lat=1.0)
         assert find_local_reference(site, refset) == ("a", 0.0)

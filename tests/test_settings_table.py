@@ -64,12 +64,17 @@ PROBES = [
 ]
 
 
+def _inputs(command, world_dir) -> list:
+    """synth reads no inputs, so it takes no --inputs-dir."""
+    return [] if command == ["synth"] else ["--inputs-dir", world_dir]
+
+
 class TestProbes:
     @pytest.mark.parametrize("command, key, flag, value", PROBES)
     def test_bad_flag_names_its_setting(self, world_dir, tmp_path, capsys,
                                         command, key, flag, value):
         out = tmp_path / "out"
-        assert run([*command, "--inputs-dir", world_dir, "--output-dir", out,
+        assert run([*command, *_inputs(command, world_dir), "--output-dir", out,
                     f"{flag}={value}"]) == 1
         record = _record(capsys)
         assert (record["error"], record["file"], record["line"]) == ("invalid_value", None, None)
@@ -82,7 +87,7 @@ class TestProbes:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"# probe\n{key} = {value}\n")
         out = tmp_path / "out"
-        assert run([*command, "--inputs-dir", world_dir, "--output-dir", out,
+        assert run([*command, *_inputs(command, world_dir), "--output-dir", out,
                     "--config", cfg]) == 1
         record = _record(capsys)
         assert (record["error"], record["file"], record["line"]) == ("invalid_value", str(cfg), 2)
@@ -124,6 +129,86 @@ class TestProbes:
         config = json.loads((out / "manifest_synth.json").read_text())["config"]
         assert (config["noise_sigma"], config["n_sites"]) == ("0.1", "4")
         assert len((out / "sites.csv").read_text().splitlines()) == 1 + 4
+
+    @pytest.mark.parametrize("key, value", [("embeddings", "missing.csv"), ("spectral", "-0")])
+    def test_input_path_naming_no_file_is_located(self, world_dir, tmp_path, capsys,
+                                                  key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = 1\n{key} = {value}\n")
+        out = tmp_path / "out"
+        assert run(["validate", "--inputs-dir", world_dir, "--output-dir", out,
+                    "--config", cfg]) == 1
+        record = _record(capsys)
+        assert (record["error"], record["file"], record["line"]) == ("invalid_value", str(cfg), 2)
+        assert key in record["message"] and value in record["message"]
+        _assert_no_outputs(out)
+
+
+#: (config text, line blamed, key named): synth's cross-key rules.
+SYNTH_RULES = [
+    ("start_year_spread = 9\n", 1, "start_year_spread"),
+    ("seed = 2\nn_classes = 2\n", 2, "n_classes"),
+    ("first_year = 2020\nstart_year_spread = 5\n", 2, "start_year_spread"),
+    ("start_year_spread = 5\nfirst_year = 2020\n", 2, "start_year_spread"),
+    ("lulc_first_year = 2018\n", 1, "LULC years"),
+    ("last_year = 2025\nseed = 4\n", 1, "LULC years"),
+]
+
+
+class TestSynthRules:
+    @pytest.mark.parametrize("text, line, named", SYNTH_RULES)
+    def test_broken_rule_is_blamed_on_the_later_line(self, tmp_path, capsys, text, line, named):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "world"
+        assert run(["synth", "--output-dir", out, "--config", cfg]) == 1
+        record = _record(capsys)
+        assert (record["error"], record["file"], record["line"]) == ("invalid_value", str(cfg), line)
+        assert named in record["message"]
+        _assert_no_outputs(out)
+
+    def test_a_flag_is_blamed_over_a_config_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("first_year = 2020\n")
+        out = tmp_path / "world"
+        assert run(["synth", "--output-dir", out, "--config", cfg,
+                    "--start-year-spread", "9"]) == 1
+        record = _record(capsys)
+        assert (record["error"], record["file"], record["line"]) == ("invalid_value", None, None)
+        assert "start_year_spread (9)" in record["message"]
+        _assert_no_outputs(out)
+
+    def test_other_commands_do_not_check_them(self, world_dir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_classes = 2\nstart_year_spread = 9\n")
+        assert run(["validate", "--inputs-dir", world_dir, "--output-dir", tmp_path / "out",
+                    "--config", cfg]) == 0
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--threads", "2"],
+        ["references", "build", "--threads", "2"],
+        ["trajectories", "--threads", "2"],
+        ["project", "--threads", "2"],
+        ["report", "--threads", "2"],
+        ["synth", "--embeddings", "nothing.csv"],
+        ["synth", "--inputs-dir", "/nonexistent"],
+    ])
+    def test_flags_a_command_does_not_use_are_usage_errors(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--output-dir", tmp_path / "out"])
+        assert exc.value.code == 2
+        _assert_no_outputs(tmp_path / "out")
+
+    def test_config_keys_stay_valid_for_every_command(self, world_dir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = 1\n")
+        assert run(["report", "--inputs-dir", world_dir, "--output-dir", tmp_path / "report",
+                    "--config", cfg]) == 0
+        cfg.write_text("threads = 1\nn_sites = 3\npoints_per_class = 2\n"
+                       "points_per_transition = 0\nembeddings = world/embeddings.csv\n")
+        assert run(["synth", "--output-dir", tmp_path / "world", "--config", cfg]) == 0
 
 
 def test_synth_world_rebuilds_from_its_manifest(tmp_path):

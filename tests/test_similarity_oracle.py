@@ -27,6 +27,7 @@ from regrow.geo import haversine_km_many
 from regrow.projection import silhouette_score
 from regrow.references import (
     ReferenceSet,
+    ReferenceTable,
     ReferenceYearPolicy,
     SecondaryPoint,
     build_reference_set,
@@ -231,12 +232,11 @@ class TestFindLocalReference:
         coords = rng.integers(0, grid, size=(n, 2)) * 0.5
         refset = ReferenceSet(
             policy=ReferenceYearPolicy.fixed(),
-            global_ref=EmbeddingVector(np.ones(2)),
-            centroids={},
             secondary_points=tuple(
                 SecondaryPoint(pid, float(lon), float(lat), EmbeddingVector(np.ones(2)))
                 for pid, (lon, lat) in zip(ids, coords)
             ),
+            tables={},
         )
         for lon, lat in rng.integers(0, grid, size=(5, 2)) * 0.5:
             site = make_site(centroid_lon=float(lon) + 0.25, centroid_lat=float(lat))
@@ -275,9 +275,8 @@ class TestTrajectoryCallers:
         centroids = {cls: EmbeddingVector(v) for cls, v in zip(classes, vectors)}
         refset = ReferenceSet(
             policy=ReferenceYearPolicy.fixed(),
-            global_ref=EmbeddingVector(np.ones(3)),
-            centroids=centroids,
             secondary_points=(),
+            tables={2024: ReferenceTable(centroids=centroids, secondary={})},
         )
         rows = np.concatenate([vectors, _matrix(rng, 4, 3, kind)])[rng.permutation(n_classes + 4)]
         site = make_site(
