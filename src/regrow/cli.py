@@ -145,7 +145,7 @@ _SYNTH = ("synth",)
 _SETTINGS = {
     **{key: _Key(None, commands=_READERS, help=f"path to {key}.csv") for key in _INPUT_KEYS},
     "seed": _Key(0, _int, _at_least(0), _EVERY),
-    "threads": _Key(None, _int, _at_least(1), ("synth", "predict"), help=(
+    "threads": _Key(None, _int, _at_least(1), _EVERY, help=(
         "cap on worker processes (default: every available core; "
         "results do not depend on it)")),
     "first_year": _Key(2017, _int, commands=_SYNTH),
@@ -371,6 +371,7 @@ def _load_dataset(settings: dict, outputs: RunOutputs):
         lulc_codes_path=settings["lulc_codes"],
         window=(settings["first_year"], settings["last_year"]),
         lulc_years=(settings["lulc_first_year"], settings["lulc_last_year"]),
+        threads=settings["threads"],
     )
     return dataset, skipped
 

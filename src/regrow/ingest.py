@@ -22,13 +22,18 @@ Parse contract:
   fault (line 1 is the header). An error about a table as a whole, such as
   a duplicate class name in lulc_codes.csv, names the file only.
 
-Each file is read once. A table's numeric columns are parsed in one
-``np.fromstring`` call, which rounds as ``float()`` does. If that pass meets
-anything unusual (a quoted file, a wrong field count, a cell numpy cannot
-read, blanks in a cell, a non-finite value) the table is parsed again cell
-by cell, which raises at the right line or accepts what ``float()`` accepts
-and numpy does not, such as ``1_0``. Files that ``regrow synth`` writes
-never take that path.
+Each file is read once. A table's numeric columns are parsed in bulk by
+``np.fromstring``, which rounds as ``float()`` does, into one read-only
+matrix. A table of more than ``_POOL_CELLS`` numeric cells is cut into
+contiguous row slabs, one per worker of the pool (``threads`` caps it, as
+everywhere), and each worker parses its slab into its rows of one shared
+matrix; a smaller table, or one worker, parses the whole table here as one
+slab. If any slab meets anything unusual (a quoted file, a wrong field
+count, a cell numpy cannot read, blanks in a cell, a non-finite value) the
+table is parsed again cell by cell, which raises at the right line or
+accepts what ``float()`` accepts and numpy does not, such as ``1_0``. Files
+that ``regrow synth`` writes never take that path. The matrix does not
+depend on the number of workers.
 
 Loading is order-independent: outputs are keyed or sorted by id, so a
 shuffled input yields an identical Dataset.
@@ -40,6 +45,7 @@ import csv
 import io
 import logging
 import math
+import mmap
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -66,10 +72,23 @@ from .errors import (
     NonFiniteError,
     RegrowError,
 )
+from .pool import _worker_count, run_jobs
 
 log = logging.getLogger("regrow.ingest")
 
 DEFAULT_LULC_YEARS = (2015, 2024)
+
+#: Numeric cells of a table above which its bulk parse runs on the pool, one
+#: row slab per worker. Measured on 2 cores with row prefixes of the seed-7
+#: embeddings.csv, each load in a fresh process (median of 11): a pool,
+#: multiprocessing's import included, costs ~0.03 s; it lost 0.015 s at
+#: 256k cells, broke even near 300k, and saved 0.026 s at 384k and ~0.1 s
+#: of ~0.5 s on the whole file (676k). The 5x world's 3.9M cells parse in
+#: ~2.2 s instead of ~2.9 s.
+_POOL_CELLS = 300_000
+
+#: Characters of a cell that an error message echoes.
+_ECHO_CHARS = 200
 
 
 class LULCCodeMap:
@@ -204,7 +223,8 @@ class _Table:
             exc.locate(self.path, self.line)
         return False
 
-    def rows(self, first: int, count: int, width: int, *, exact: bool = True):
+    def rows(self, first: int, count: int, width: int, *, exact: bool = True,
+             threads: int | None = None):
         """Yield ``(line, fields, cells)`` for each data row, in file order.
 
         ``cells`` are the ``count`` numeric columns starting at column
@@ -213,9 +233,9 @@ class _Table:
         MissingColumnError. ``cells`` is a read-only float64 row of one
         matrix when the bulk parse of the whole table succeeded, else the
         text of each cell, which ``_floats`` parses in the loader's order of
-        checks.
+        checks. ``threads`` caps the workers of the bulk parse.
         """
-        bulk = self._parse_bulk(first, count, width) if count else None
+        bulk = self._parse_bulk(first, count, width, threads) if count else None
         if bulk is not None:
             fields, matrix = bulk
             for (line, other), cells in zip(fields, matrix):
@@ -230,54 +250,92 @@ class _Table:
                 yield line, row[:first] + row[first + count:], row[first:first + count]
         self.line = None
 
-    def _parse_bulk(self, first: int, count: int, width: int):
-        """Parse the numeric cells of every row in one call, or None on any anomaly.
+    def _parse_bulk(self, first: int, count: int, width: int, threads: int | None):
+        """Parse the numeric cells of every row in bulk, or None on any anomaly.
 
         Returns ([(line, other fields), ...], read-only (rows, count) matrix).
-        An anomaly is a quoted file, a row without exactly ``width`` fields, a
-        cell numpy cannot parse, or a non-finite value; the caller then reads
-        the table cell by cell, which raises at the right line or accepts
-        what ``float()`` accepts and numpy does not (such as ``1_0``).
+        A table of more than ``_POOL_CELLS`` cells is parsed in one row slab
+        per worker; the workers write into a shared anonymous mapping made
+        before they fork, so only each slab's other fields come back through
+        a pipe. Any slab's anomaly (see ``_parse_slab``) sends the whole
+        table to the cell-by-cell path.
         """
         if self._quoted:
             return None
-        n_after = width - first - count
-        fields, blocks = [], []
-        for line, rec in self._records:
-            if rec.count(",") != width - 1:
-                return None
-            other = rec.split(",", first)
-            block = other.pop()
-            if n_after:
-                tail = block.rsplit(",", n_after)
-                block = tail.pop(0)
-                other += tail
-            fields.append((line, other))
-            blocks.append(block)
-        joined = ",".join(blocks)
-        del blocks
-        # numpy, like float(), skips blanks around a number, but it reads a
-        # blank cell as -1; cells with blanks are left to the cell-by-cell path.
-        if any(blank in joined for blank in " \t\v\f"):
+        n = len(self._records)
+        # Also rejects threads < 1, whichever way the table goes.
+        workers = _worker_count(threads, n)
+        if workers == 1 or n * count <= _POOL_CELLS:
+            matrix = np.empty((n, count))
+            parts = [_parse_slab(self._records, 0, n, first, count, width, matrix)]
+        else:
+            shared = mmap.mmap(-1, n * count * 8)
+            matrix = np.frombuffer(shared, dtype=np.float64).reshape(n, count)
+            cuts = [n * i // workers for i in range(workers + 1)]
+            parts = run_jobs(_parse_slab, [
+                (self._records, a, b, first, count, width, matrix) for a, b in zip(cuts, cuts[1:])
+            ], threads)
+        if any(part is None for part in parts):
             return None
-        try:
-            values = np.fromstring(joined, sep=",")
-        except ValueError:
-            return None
-        if values.size != len(fields) * count or not np.isfinite(values).all():
-            return None
-        matrix = values.reshape(len(fields), count)
         matrix.flags.writeable = False
-        return fields, matrix
+        return [row for part in parts for row in part], matrix
+
+
+def _parse_slab(records, a: int, b: int, first: int, count: int, width: int, out: np.ndarray):
+    """Parse the numeric cells of ``records[a:b]`` into ``out[a:b]``.
+
+    Returns the slab's [(line, other fields), ...], or None on an anomaly:
+    a row without exactly ``width`` fields, a cell numpy cannot parse or
+    that holds blanks, or a non-finite value.
+    """
+    n_after = width - first - count
+    fields, blocks = [], []
+    for line, rec in records[a:b]:
+        if rec.count(",") != width - 1:
+            return None
+        other = rec.split(",", first)
+        block = other.pop()
+        if n_after:
+            tail = block.rsplit(",", n_after)
+            block = tail.pop(0)
+            other += tail
+        fields.append((line, other))
+        blocks.append(block)
+    joined = ",".join(blocks)
+    del blocks
+    # numpy, like float(), skips blanks around a number, but it reads a
+    # blank cell as -1; cells with blanks are left to the cell-by-cell path.
+    if any(blank in joined for blank in " \t\v\f"):
+        return None
+    try:
+        values = np.fromstring(joined, sep=",")
+    except ValueError:
+        return None
+    del joined  # before ``out``'s pages are touched
+    if values.size != (b - a) * count or not np.isfinite(values).all():
+        return None
+    out[a:b] = values.reshape(b - a, count)
+    return fields
+
+
+def _clip(text: str) -> str:
+    """A cell as an error message echoes it, cut to ``_ECHO_CHARS`` characters:
+    a header that opens an unclosed quote is one cell holding the rest of
+    the file."""
+    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "..."
+
+
+def _bad_header(expected, got: Sequence[str]) -> MissingColumnError:
+    return MissingColumnError(f"expected header {expected}, got {[_clip(c) for c in got]}")
 
 
 def _parse_float(text: str, what: str, line: int) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise CsvParseError(f"bad {what}: {text!r}", line=line) from None
+        raise CsvParseError(f"bad {what}: {_clip(text)!r}", line=line) from None
     if not math.isfinite(value):
-        raise NonFiniteError(f"non-finite {what}: {text!r}", line=line)
+        raise NonFiniteError(f"non-finite {what}: {_clip(text)!r}", line=line)
     return value
 
 
@@ -285,7 +343,7 @@ def _parse_int(text: str, what: str, line: int) -> int:
     try:
         return int(text)
     except ValueError:
-        raise CsvParseError(f"bad {what}: {text!r}", line=line) from None
+        raise CsvParseError(f"bad {what}: {_clip(text)!r}", line=line) from None
 
 
 def _floats(cells, names: Sequence[str], line: int) -> list[float]:
@@ -298,7 +356,7 @@ def _floats(cells, names: Sequence[str], line: int) -> list[float]:
 def load_lulc_codes(path: str | Path) -> LULCCodeMap:
     with _Table(path) as table:
         if table.header[:2] != ["code", "name"]:
-            raise MissingColumnError(f"expected header code,name, got {table.header}")
+            raise _bad_header("code,name", table.header)
         entries: dict[int, str] = {}
         for line, (code_text, name), _ in table.rows(0, 0, 2):
             code = _parse_int(code_text, "code", line)
@@ -308,25 +366,28 @@ def load_lulc_codes(path: str | Path) -> LULCCodeMap:
         return LULCCodeMap(entries)
 
 
-def load_embeddings(path: str | Path) -> dict[tuple[str, int], EmbeddingVector]:
+def load_embeddings(
+    path: str | Path, *, threads: int | None = None,
+) -> dict[tuple[str, int], EmbeddingVector]:
     """Load per-(id, year) embedding vectors.
 
     The dimension is inferred from the header (number of A-columns) and
     must be constant; a row with a different field count raises
     MissingColumnError with its line number. The vectors of a file are
-    read-only rows of one float64 matrix.
+    read-only rows of one float64 matrix. ``threads`` caps the worker
+    processes that parse a large file (None: every available core).
     """
     with _Table(path) as table:
         header = table.header
         if len(header) < 3 or header[0] != "id" or header[1] != "year":
-            raise MissingColumnError(f"expected header id,year,A00,..., got {header[:3]}")
-        bad = [c for c in header[2:] if not c.startswith("A")]
+            raise _bad_header("id,year,A00,...", header[:3])
+        bad = [_clip(c) for c in header[2:] if not c.startswith("A")]
         if bad:
             raise MissingColumnError(f"non-embedding columns after id,year: {bad}")
         dim = len(header) - 2
         names = ["embedding value"] * dim
         out: dict[tuple[str, int], EmbeddingVector] = {}
-        for line, (rid, year), cells in table.rows(2, dim, len(header)):
+        for line, (rid, year), cells in table.rows(2, dim, len(header), threads=threads):
             key = (rid, _parse_int(year, "year", line))
             if key in out:
                 raise DuplicateKeyError(f"duplicate embedding key {key}", line=line)
@@ -337,12 +398,14 @@ def load_embeddings(path: str | Path) -> dict[tuple[str, int], EmbeddingVector]:
     return out
 
 
-def _load_spectral(path: str | Path) -> dict[tuple[str, int], SpectralIndices]:
+def _load_spectral(
+    path: str | Path, threads: int | None,
+) -> dict[tuple[str, int], SpectralIndices]:
     with _Table(path) as table:
         if table.header[:4] != ["id", "year", "ndvi", "evi"]:
-            raise MissingColumnError(f"expected header id,year,ndvi,evi, got {table.header}")
+            raise _bad_header("id,year,ndvi,evi", table.header)
         out: dict[tuple[str, int], SpectralIndices] = {}
-        for line, (rid, year, *_), cells in table.rows(2, 2, 4, exact=False):
+        for line, (rid, year, *_), cells in table.rows(2, 2, 4, exact=False, threads=threads):
             key = (rid, _parse_int(year, "year", line))
             if key in out:
                 raise DuplicateKeyError(f"duplicate spectral key {key}", line=line)
@@ -354,13 +417,16 @@ def _load_spectral(path: str | Path) -> dict[tuple[str, int], SpectralIndices]:
     return out
 
 
-def _load_covariates(path: str | Path) -> dict[tuple[str, int], CovariateSet]:
+def _load_covariates(
+    path: str | Path, threads: int | None,
+) -> dict[tuple[str, int], CovariateSet]:
     with _Table(path) as table:
         expected = ["id", "year", *CovariateSet.FIELD_NAMES]
         if table.header != expected:
-            raise MissingColumnError(f"expected header {expected}, got {table.header}")
+            raise _bad_header(expected, table.header)
         out: dict[tuple[str, int], CovariateSet] = {}
-        for line, (rid, year), cells in table.rows(2, len(CovariateSet.FIELD_NAMES), len(expected)):
+        rows = table.rows(2, len(CovariateSet.FIELD_NAMES), len(expected), threads=threads)
+        for line, (rid, year), cells in rows:
             key = (rid, _parse_int(year, "year", line))
             if key in out:
                 raise DuplicateKeyError(f"duplicate covariate key {key}", line=line)
@@ -380,19 +446,21 @@ def load_sites(
     *,
     window: tuple[int, int] = (2017, 2024),
     lulc_codes: LULCCodeMap = DEFAULT_LULC_CODES,
+    threads: int | None = None,
 ) -> tuple[list[SiteRecord], list[str]]:
     """Join site metadata with the per-year tables.
 
     Returns (sites sorted by site_id, ids of sites that had no embedding
     years). The latter are excluded from the result rather than kept
-    silently; callers should surface them.
+    silently; callers should surface them. ``threads`` caps the worker
+    processes that parse a large table.
     """
     with _Table(meta_path) as table:
         expected = ["site_id", "lon", "lat", "area_ha", "start_year", "strategy", "start_lulc"]
         if table.header != expected:
-            raise MissingColumnError(f"expected header {expected}, got {table.header}")
-        spectral = _load_spectral(spectral_path) if spectral_path else {}
-        covariates = _load_covariates(covariates_path) if covariates_path else {}
+            raise _bad_header(expected, table.header)
+        spectral = _load_spectral(spectral_path, threads) if spectral_path else {}
+        covariates = _load_covariates(covariates_path, threads) if covariates_path else {}
 
         # Regroup per-year tables by id up front; scanning per site is quadratic.
         emb_by_id: dict[str, dict[int, EmbeddingVector]] = {}
@@ -412,7 +480,8 @@ def load_sites(
         no_embeddings: list[str] = []
         seen: set[str] = set()
         numeric = ("lon", "lat", "area_ha")
-        for line, (site_id, start_year, strategy, start_lulc), cells in table.rows(1, 3, 7):
+        rows = table.rows(1, 3, 7, threads=threads)
+        for line, (site_id, start_year, strategy, start_lulc), cells in rows:
             site_id = site_id.strip()
             if not site_id:
                 raise MissingMetadataFieldError("empty site_id", line=line)
@@ -464,24 +533,24 @@ def load_reference_points(
     lulc_years: tuple[int, int] = DEFAULT_LULC_YEARS,
     window: tuple[int, int] = (2017, 2024),
     lulc_codes: LULCCodeMap = DEFAULT_LULC_CODES,
+    threads: int | None = None,
 ) -> list[ReferencePoint]:
     """Load reference points; stability is left unclassified.
 
     The header must contain lulc_<Y> for every year in ``lulc_years``;
-    otherwise MissingYearColumnError is raised.
+    otherwise MissingYearColumnError is raised. ``threads`` caps the worker
+    processes that parse a large table.
     """
     with _Table(meta_path) as table:
         header = table.header
         if header[:3] != ["point_id", "lon", "lat"]:
-            raise MissingColumnError(
-                f"expected header point_id,lon,lat,lulc_<Y>..., got {header[:3]}"
-            )
+            raise _bad_header("point_id,lon,lat,lulc_<Y>...", header[:3])
         # year -> index of its code among a row's non-numeric fields (after point_id)
         year_cols: dict[int, int] = {}
         for idx, name in enumerate(header[3:], start=1):
             if not name.startswith("lulc_"):
-                raise MissingColumnError(f"unexpected column {name!r}")
-            year_cols[_parse_int(name[len("lulc_"):], f"year in column {name!r}", 1)] = idx
+                raise MissingColumnError(f"unexpected column {_clip(name)!r}")
+            year_cols[_parse_int(name[len("lulc_"):], f"year in column {_clip(name)!r}", 1)] = idx
         for year in range(lulc_years[0], lulc_years[1] + 1):
             if year not in year_cols:
                 raise MissingYearColumnError(f"missing column lulc_{year}")
@@ -494,7 +563,7 @@ def load_reference_points(
 
         points: list[ReferencePoint] = []
         seen: set[str] = set()
-        for line, fields, cells in table.rows(1, 2, len(header)):
+        for line, fields, cells in table.rows(1, 2, len(header), threads=threads):
             point_id = fields[0].strip()
             if not point_id:
                 raise MissingMetadataFieldError("empty point_id", line=line)
@@ -556,10 +625,15 @@ def load_dataset(
     *,
     window: tuple[int, int] = (2017, 2024),
     lulc_years: tuple[int, int] = DEFAULT_LULC_YEARS,
+    threads: int | None = None,
 ) -> tuple[Dataset, list[str]]:
-    """Convenience joiner used by the CLI. Returns (dataset, zero-embedding site ids)."""
+    """Convenience joiner used by the CLI. Returns (dataset, zero-embedding site ids).
+
+    ``threads`` caps the worker processes that parse a large table (None:
+    every available core, 1: none); the dataset does not depend on it.
+    """
     codes = load_lulc_codes(lulc_codes_path) if lulc_codes_path else DEFAULT_LULC_CODES
-    embeddings = load_embeddings(embeddings_path)
+    embeddings = load_embeddings(embeddings_path, threads=threads)
     sites, skipped = load_sites(
         sites_path,
         embeddings,
@@ -567,6 +641,7 @@ def load_dataset(
         covariates_path,
         window=window,
         lulc_codes=codes,
+        threads=threads,
     )
     references = load_reference_points(
         reference_points_path,
@@ -574,5 +649,6 @@ def load_dataset(
         lulc_years=lulc_years,
         window=window,
         lulc_codes=codes,
+        threads=threads,
     )
     return Dataset(sites=tuple(sites), references=tuple(references), window=window), skipped

@@ -1,10 +1,11 @@
 """Independent jobs on a pool of forked worker processes.
 
 This is the one place regrow starts processes: ``predict`` runs its
-cross-validation fits through ``run_jobs``, and ``csvio.write_csv`` formats
-the row slabs of a large table through ``iter_jobs``. Callers pass a cap
-(``threads``, ``None`` for every available core); results never depend on
-the number of workers. ``multiprocessing`` is imported only when a pool is
+cross-validation fits through ``run_jobs``, ``ingest`` parses the row slabs
+of a large input table through ``run_jobs``, and ``csvio.write_csv``
+formats the row slabs of a large table through ``iter_jobs``. Callers pass
+a cap (``threads``, ``None`` for every available core); results never
+depend on the number of workers. ``multiprocessing`` is imported only when a pool is
 started, so commands that never need one skip its import cost.
 """
 

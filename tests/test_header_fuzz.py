@@ -93,3 +93,18 @@ def test_mutated_header_is_a_run_or_a_located_record(world_dir, tmp_path, capsys
         assert record["error"] != "internal_error", (text[:300], record)
         assert (record["file"], type(record["line"])) == (str(path), int), (text[:300], record)
         assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_header_opening_an_unclosed_quote_gives_a_bounded_record(world_dir, tmp_path, capsys,
+                                                                  table):
+    # The csv reader makes the header one cell holding the rest of the file.
+    path = tmp_path / f"{table}.csv"
+    path.write_text('"' + (world_dir / f"{table}.csv").read_text(encoding="utf-8"),
+                    encoding="utf-8")
+    inputs = [arg for key in TABLES for arg in (
+        f"--{key.replace('_', '-')}", path if key == table else world_dir / f"{key}.csv")]
+    assert run(["validate", *inputs, "--output-dir", tmp_path / "out"]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert (record["file"], type(record["line"])) == (str(path), int)
+    assert len(record["message"]) < 500, record["message"][:300]

@@ -1,0 +1,186 @@
+"""The bulk parse of large input tables on the worker pool.
+
+``ingest._Table._parse_bulk`` cuts a table of more than ``_POOL_CELLS``
+numeric cells into one row slab per worker; each worker parses its slab into
+its rows of one shared matrix. ``_available_cores`` is pinned to 2 and the
+threshold lowered where a test needs the pool, so the forked path runs on
+any machine and on small worlds. The result must not depend on it: the same
+Dataset, bit for bit, or the same error at the same file and line.
+"""
+
+from __future__ import annotations
+
+import filecmp
+import os
+import subprocess
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from regrow import ingest, pool
+from regrow.cli import main
+from regrow.errors import InvalidValueError
+from regrow.synthetic import SynthConfig, generate_world, write_world
+from test_ingest_oracle import (
+    FILES,
+    NUMERIC_COLUMN,
+    _fingerprint,
+    apply_mutations,
+    assert_same_outcome,
+    mutation,
+)
+
+
+def run(args):
+    return main([str(a) for a in args])
+
+
+def _load(world, threads):
+    paths = [world / name for name in FILES]
+    return ingest.load_dataset(paths[0], paths[1], paths[4], paths[2], paths[3], paths[5],
+                               threads=threads)
+
+
+@pytest.fixture(scope="module")
+def base_world(tmp_path_factory) -> dict[str, str]:
+    config = SynthConfig(
+        seed=11, dim=8, n_sites=8, points_per_class=5, points_per_transition=2,
+        start_year_spread=2,
+    )
+    out = tmp_path_factory.mktemp("pool_oracle_world")
+    write_world(*generate_world(config), out, threads=1)
+    return {name: (out / name).read_text(encoding="utf-8") for name in FILES}
+
+
+def _pin(mp, calls):
+    """Two cores, every numeric table on the pool; ``calls`` gets each pooled
+    table's slab count."""
+    def counting_run_jobs(fn, jobs, threads, order=None):
+        calls.append(len(jobs))
+        return pool.run_jobs(fn, jobs, threads, order)
+
+    mp.setattr(pool, "_available_cores", lambda: 2)
+    mp.setattr(ingest, "_POOL_CELLS", 1)
+    mp.setattr(ingest, "run_jobs", counting_run_jobs)
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    calls = []
+    _pin(monkeypatch, calls)
+    return calls
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Two cores, and a pool that fails if it is asked for."""
+    def refuse(*args):
+        raise AssertionError("pool asked for")
+
+    monkeypatch.setattr(pool, "_available_cores", lambda: 2)
+    monkeypatch.setattr(ingest, "run_jobs", refuse)
+
+
+def test_unmutated_world_matches_on_the_pool(base_world, pooled):
+    assert_same_outcome(base_world)
+    # embeddings, sites, spectral, covariates and reference_points, two slabs each
+    assert pooled == [2] * 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutations=st.lists(mutation, min_size=1, max_size=4))
+def test_mutated_worlds_match_the_oracle_on_the_pool(base_world, mutations):
+    with pytest.MonkeyPatch.context() as mp:
+        _pin(mp, [])
+        assert_same_outcome(apply_mutations(base_world, mutations))
+
+
+#: Anomalies a slab must report, so that the whole table is read cell by cell.
+LAST_ROW_ANOMALIES = {
+    "nan": ("cell", "nan"),
+    "blank": ("cell", " "),
+    "empty": ("cell", ""),
+    "underscore": ("cell", "1_0"),
+    "short_row": ("drop", ""),
+}
+
+
+@pytest.mark.parametrize("anomaly", sorted(LAST_ROW_ANOMALIES))
+@pytest.mark.parametrize("name", sorted(NUMERIC_COLUMN))
+def test_an_anomaly_in_the_last_slab_falls_back(base_world, pooled, name, anomaly):
+    kind, spelling = LAST_ROW_ANOMALIES[anomaly]
+    mutated = apply_mutations(base_world, [(kind, name, -1, NUMERIC_COLUMN[name], spelling)])
+    assert_same_outcome(mutated)
+    assert pooled and set(pooled) == {2}
+
+
+def test_one_thread_never_asks_for_the_pool(base_world, tmp_path, no_pool, monkeypatch):
+    monkeypatch.setattr(ingest, "_POOL_CELLS", 1)
+    for name, text in base_world.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    _load(tmp_path, threads=1)
+
+
+def test_small_tables_never_ask_for_the_pool(base_world, tmp_path, no_pool):
+    for name, text in base_world.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    _load(tmp_path, threads=None)
+
+
+@pytest.fixture(scope="module")
+def mid_world(tmp_path_factory):
+    out = tmp_path_factory.mktemp("pool_world")
+    config = SynthConfig(seed=3, n_sites=30, points_per_class=20, points_per_transition=4)
+    write_world(*generate_world(config), out, threads=1)
+    return out
+
+
+@pytest.mark.parametrize("threads", [2, 3, None])
+def test_one_and_more_workers_load_identical_bytes(mid_world, pooled, threads):
+    serial = _fingerprint(_load(mid_world, threads=1)[0])
+    assert pooled == []
+    dataset = _load(mid_world, threads=threads)[0]
+    assert _fingerprint(dataset) == serial
+    assert pooled == [2] * 5
+    # The loaded vectors are read-only rows of one matrix.
+    site = dataset.sites[0]
+    assert not site.embeddings[max(site.embeddings)].values.flags.writeable
+
+
+def test_threads_below_one_is_invalid(mid_world):
+    with pytest.raises(InvalidValueError, match="threads"):
+        _load(mid_world, threads=0)
+
+
+def test_seed7_sized_load_with_one_thread_leaves_multiprocessing_unloaded(tmp_path):
+    write_world(*generate_world(SynthConfig(seed=7)), tmp_path, threads=1)
+    code = (
+        "import sys; from pathlib import Path; from regrow import ingest; "
+        f"w = Path({str(tmp_path)!r}); "
+        "ingest.load_dataset(w / 'embeddings.csv', w / 'sites.csv', w / 'reference_points.csv', "
+        "threads=1); print('multiprocessing' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(ingest.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command", [["validate"], ["trajectories", "--reference", "both"]])
+def test_commands_write_identical_files_for_any_thread_count(mid_world, pooled, tmp_path,
+                                                              command):
+    runs = {"serial": ["--threads", "1"], "two": ["--threads", "2"], "default": []}
+    for label, extra in runs.items():
+        assert run([*command, "--inputs-dir", mid_world, "--output-dir", tmp_path / label,
+                    *extra]) == 0
+    names = sorted(p.name for p in (tmp_path / "serial").glob("*.csv"))
+    assert names
+    for label in ("two", "default"):
+        match, mismatch, errors = filecmp.cmpfiles(
+            tmp_path / "serial", tmp_path / label, names, shallow=False)
+        assert (mismatch, errors) == ([], []), label
+    # Each pooled load parses five numeric tables in two slabs.
+    assert pooled == [2] * 10

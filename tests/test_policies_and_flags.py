@@ -149,7 +149,7 @@ class TestCliPolicyAndThreads:
         outs = []
         for threads in ("1", "4"):
             out = tmp_path / f"t{threads}"
-            # `references` takes no --threads flag; the setting stays valid in a config file.
+            # The setting is read from a config file as from its flag.
             cfg = tmp_path / f"t{threads}.cfg"
             cfg.write_text(f"threads = {threads}\n")
             assert main([

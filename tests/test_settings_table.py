@@ -187,11 +187,11 @@ class TestSynthRules:
 
 class TestFlags:
     @pytest.mark.parametrize("argv", [
-        ["validate", "--threads", "2"],
-        ["references", "build", "--threads", "2"],
-        ["trajectories", "--threads", "2"],
-        ["project", "--threads", "2"],
-        ["report", "--threads", "2"],
+        ["validate", "--n-trees", "2"],
+        ["references", "build", "--aggregate", "strategy"],
+        ["trajectories", "--outlier-top-k", "2"],
+        ["project", "--folds", "2"],
+        ["report", "--min-area-ha", "2"],
         ["synth", "--embeddings", "nothing.csv"],
         ["synth", "--inputs-dir", "/nonexistent"],
     ])
@@ -271,7 +271,7 @@ def _values_for(key: str, world: Path):
     """Text of plausible and of bad values for one setting."""
     parse = _SETTINGS[key].parse
     if key == "threads":
-        # These commands start no workers, but keep any cap small.
+        # Keep any cap on the worker processes small.
         good = st.integers(-2, 2).map(str)
     elif parse is _int:
         good = st.one_of(st.integers(-3, 30).map(str), _YEARS)
