@@ -14,16 +14,6 @@ import numpy as np
 EARTH_RADIUS_KM = 6371.0088
 
 
-def haversine_km(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
-    """Great-circle distance in km between two (lon, lat) points in degrees."""
-    phi1 = math.radians(lat1)
-    phi2 = math.radians(lat2)
-    dphi = math.radians(lat2 - lat1)
-    dlam = math.radians(lon2 - lon1)
-    a = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2) ** 2
-    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(a)))
-
-
 def haversine_km_many(
     lon: float, lat: float, lons: np.ndarray, lats: np.ndarray
 ) -> np.ndarray:

@@ -28,7 +28,10 @@ matrix. A table of more than ``_POOL_CELLS`` numeric cells is cut into
 contiguous row slabs, one per worker of the pool (``threads`` caps it, as
 everywhere), and each worker parses its slab into its rows of one shared
 matrix; a smaller table, or one worker, parses the whole table here as one
-slab. If any slab meets anything unusual (a quoted file, a wrong field
+slab. A slab is parsed ``_PARSE_CELLS`` cells of rows at a time, so beyond
+the file's text, the matrix and the rows' other fields, a parse holds one
+sub-block of text and values (~2 MB) per worker, never the table's numeric
+text again. If any slab meets anything unusual (a quoted file, a wrong field
 count, a cell numpy cannot read, blanks in a cell, a non-finite value) the
 table is parsed again cell by cell, which raises at the right line or
 accepts what ``float()`` accepts and numpy does not, such as ``1_0``. Files
@@ -46,6 +49,7 @@ import io
 import logging
 import math
 import mmap
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -87,6 +91,15 @@ DEFAULT_LULC_YEARS = (2015, 2024)
 #: ~2.2 s instead of ~2.9 s.
 _POOL_CELLS = 300_000
 
+#: Numeric cells of one sub-block of a slab's parse (``_parse_slab``): 1024
+#: rows of 64 embedding values, ~1.3 MB of text. Measured on 2 cores, in
+#: process: the seed-7 embeddings.csv (676k cells) parsed in 0.43-0.49 s
+#: (median of 7) at every sub-block from 4k cells to the whole slab, with
+#: no trend; a ``threads=1`` load of the 5x world's embeddings.csv (3.9M
+#: cells) peaked at 189 MB RSS with 8k-64k cells, 195 MB with 256k, 231 MB
+#: with 1M and 292 MB with the whole slab as one block.
+_PARSE_CELLS = 65_536
+
 #: Characters of a cell that an error message echoes.
 _ECHO_CHARS = 200
 
@@ -94,8 +107,8 @@ _ECHO_CHARS = 200
 class LULCCodeMap:
     """Bijective code<->name mapping for known classes.
 
-    Unknown codes are mapped to Other(code) and a warning is logged; they
-    are never dropped silently.
+    Unknown codes are mapped to Other(code), never dropped silently;
+    ``load_reference_points`` logs one warning per unknown code it read.
     """
 
     def __init__(self, entries: Mapping[int, str]):
@@ -108,12 +121,12 @@ class LULCCodeMap:
             self._by_code[code] = cls
             self._by_name[name] = cls
 
+    def __contains__(self, code: int) -> bool:
+        return code in self._by_code
+
     def class_for_code(self, code: int) -> LULCClass:
         cls = self._by_code.get(code)
-        if cls is None:
-            log.warning("unmapped LULC code %d kept as Other(%d)", code, code)
-            cls = LULCClass("Other", code)
-        return cls
+        return LULCClass("Other", code) if cls is None else cls
 
     def class_for_name(self, name: str) -> LULCClass:
         try:
@@ -284,37 +297,41 @@ class _Table:
 def _parse_slab(records, a: int, b: int, first: int, count: int, width: int, out: np.ndarray):
     """Parse the numeric cells of ``records[a:b]`` into ``out[a:b]``.
 
-    Returns the slab's [(line, other fields), ...], or None on an anomaly:
+    Takes rows ``_PARSE_CELLS`` numeric cells' worth at a time, so only one
+    sub-block's text is joined and parsed at once. Returns the slab's
+    [(line, other fields), ...], or None on an anomaly in any sub-block:
     a row without exactly ``width`` fields, a cell numpy cannot parse or
     that holds blanks, or a non-finite value.
     """
     n_after = width - first - count
-    fields, blocks = [], []
-    for line, rec in records[a:b]:
-        if rec.count(",") != width - 1:
+    step = max(1, _PARSE_CELLS // count)
+    fields = []
+    for lo in range(a, b, step):
+        hi = min(lo + step, b)
+        blocks = []
+        for line, rec in records[lo:hi]:
+            if rec.count(",") != width - 1:
+                return None
+            other = rec.split(",", first)
+            block = other.pop()
+            if n_after:
+                tail = block.rsplit(",", n_after)
+                block = tail.pop(0)
+                other += tail
+            fields.append((line, other))
+            blocks.append(block)
+        joined = ",".join(blocks)
+        # numpy, like float(), skips blanks around a number, but it reads a
+        # blank cell as -1; cells with blanks are left to the cell-by-cell path.
+        if any(blank in joined for blank in " \t\v\f"):
             return None
-        other = rec.split(",", first)
-        block = other.pop()
-        if n_after:
-            tail = block.rsplit(",", n_after)
-            block = tail.pop(0)
-            other += tail
-        fields.append((line, other))
-        blocks.append(block)
-    joined = ",".join(blocks)
-    del blocks
-    # numpy, like float(), skips blanks around a number, but it reads a
-    # blank cell as -1; cells with blanks are left to the cell-by-cell path.
-    if any(blank in joined for blank in " \t\v\f"):
-        return None
-    try:
-        values = np.fromstring(joined, sep=",")
-    except ValueError:
-        return None
-    del joined  # before ``out``'s pages are touched
-    if values.size != (b - a) * count or not np.isfinite(values).all():
-        return None
-    out[a:b] = values.reshape(b - a, count)
+        try:
+            values = np.fromstring(joined, sep=",")
+        except ValueError:
+            return None
+        if values.size != (hi - lo) * count or not np.isfinite(values).all():
+            return None
+        out[lo:hi] = values.reshape(hi - lo, count)
     return fields
 
 
@@ -538,7 +555,9 @@ def load_reference_points(
     """Load reference points; stability is left unclassified.
 
     The header must contain lulc_<Y> for every year in ``lulc_years``;
-    otherwise MissingYearColumnError is raised. ``threads`` caps the worker
+    otherwise MissingYearColumnError is raised. A code missing from
+    ``lulc_codes`` is kept as Other(code), with one warning per code and
+    its cell count once the file is loaded. ``threads`` caps the worker
     processes that parse a large table.
     """
     with _Table(meta_path) as table:
@@ -563,6 +582,7 @@ def load_reference_points(
 
         points: list[ReferencePoint] = []
         seen: set[str] = set()
+        unmapped: Counter[int] = Counter()  # unknown code -> cells
         for line, fields, cells in table.rows(1, 2, len(header), threads=threads):
             point_id = fields[0].strip()
             if not point_id:
@@ -570,10 +590,12 @@ def load_reference_points(
             if point_id in seen:
                 raise DuplicateKeyError(f"duplicate point_id {point_id!r}", line=line)
             seen.add(point_id)
-            series = {
-                year: lulc_codes.class_for_code(_parse_int(fields[idx], f"lulc_{year}", line))
-                for year, idx in year_cols.items()
-            }
+            series = {}
+            for year, idx in year_cols.items():
+                code = _parse_int(fields[idx], f"lulc_{year}", line)
+                if code not in lulc_codes:
+                    unmapped[code] += 1
+                series[year] = lulc_codes.class_for_code(code)
             lon, lat = _floats(cells, ("lon", "lat"), line)
             try:
                 points.append(
@@ -587,6 +609,9 @@ def load_reference_points(
                 )
             except InvalidValueError as exc:
                 raise CsvParseError(str(exc), line=line) from None
+    for code, cells in sorted(unmapped.items()):
+        log.warning("unmapped LULC code %d kept as Other(%d) in %d cell(s) of %s",
+                    code, code, cells, meta_path)
     points.sort(key=lambda p: p.point_id)
     return points
 

@@ -5,6 +5,10 @@ neighborhood-embedding approaches it is deterministic and testable, and
 it serves the same purpose here (plot-ready cluster inspection tables).
 The sign convention forces each component's largest-magnitude entry
 positive so repeated fits are identical.
+
+The silhouette takes its cosine distances one block of rows at a time
+(``_BLOCK_CELLS`` distances, ~8 MB), so its memory does not grow with the
+square of the number of points.
 """
 
 from __future__ import annotations
@@ -16,6 +20,15 @@ import numpy as np
 
 from .core import EmbeddingVector, ReferencePoint, SiteRecord
 from .errors import DegenerateDataError, SingleClusterError, WrongDimensionError, ZeroVectorError
+
+#: Distance cells (float64) of one row block of ``silhouette_score``, so a
+#: block holds ~8 MB whatever n is. Measured on 2 cores with one BLAS thread,
+#: dim 64, 5 labels (median of 7): at n=5000 the dense matrix took 0.47 s
+#: and a 246.6 MB traced peak; blocks of 64-192 rows took 0.25-0.27 s,
+#: 256 rows 0.26-0.31 s, 512 rows 0.36 s and 1024 rows 0.40 s. This budget
+#: gives 200 rows at n=5000 (~15 MB peak), 100 at n=10000 and 500 at
+#: n=2000, each within a few percent of the fastest height measured.
+_BLOCK_CELLS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -114,19 +127,28 @@ def silhouette_score(
     if np.any(norms == 0.0):
         raise ZeroVectorError("cosine distance undefined for a zero vector")
     unit = X / norms[:, None]
-    dist = unit @ unit.T
-    np.subtract(1.0, dist, out=dist)
-    np.clip(dist, 0.0, 2.0, out=dist)
 
+    n = len(labels)
     unique, label_idx = np.unique(np.asarray(labels), return_inverse=True)
     counts = np.bincount(label_idx)
-    # sums[i, k]: summed distance from point i to the members of label k.
-    # Row sums of the C-contiguous compressed block are bitwise equal to the
-    # 1-D sums dist[i, mask].sum().
-    sums = np.empty((len(labels), len(unique)))
-    for k in range(len(unique)):
-        sums[:, k] = dist.compress(label_idx == k, axis=1).sum(axis=1)
-    rows = np.arange(len(labels))
+    masks = [label_idx == k for k in range(len(unique))]
+    # sums[i, k]: summed distance from point i to the members of label k,
+    # one block of rows at a time, so the n x n distance matrix is never
+    # held. Row sums of the C-contiguous compressed block are bitwise equal
+    # to the 1-D sums dist[i, mask].sum(), whatever the block's height. A
+    # block of every row is BLAS's symmetric product (syrk); a shorter block
+    # is a general product (gemm), which may round a distance in the last
+    # place apart from the symmetric one.
+    sums = np.empty((n, len(unique)))
+    step = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, n, step):
+        dist = unit[lo:lo + step] @ unit.T
+        np.subtract(1.0, dist, out=dist)
+        np.clip(dist, 0.0, 2.0, out=dist)
+        for k, mask in enumerate(masks):
+            sums[lo:lo + step, k] = dist.compress(mask, axis=1).sum(axis=1)
+        del dist  # before the next block is allocated
+    rows = np.arange(n)
     own_sum = sums[rows, label_idx]
     means = sums / counts
     means[rows, label_idx] = np.inf
@@ -137,6 +159,6 @@ def silhouette_score(
     a = own_sum[multi] / (n_own[multi] - 1)
     b = b[multi]
     denom = np.maximum(a, b)
-    scores = np.zeros(len(labels))
+    scores = np.zeros(n)
     scores[multi] = np.divide(b - a, denom, out=np.zeros_like(a), where=denom != 0.0)
     return float(scores.mean())

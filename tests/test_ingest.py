@@ -141,6 +141,23 @@ class TestLoadReferencePoints:
         assert points[0].lulc_series[2015] == LULCClass("Other", 99)
         assert any("99" in rec.message for rec in caplog.records)
 
+    def test_one_warning_per_unmapped_code_per_load(self, tmp_path, caplog):
+        # 99 in two columns of all 50 points, 98 in one column of three.
+        years = range(2015, 2025)
+        rows = [
+            f"p{i},-47.0,-22.0,99,99,{98 if i < 3 else 9}," + ",".join("9" for _ in range(7))
+            for i in range(50)
+        ]
+        path = reference_csv(tmp_path, years, rows)
+        with caplog.at_level("WARNING", logger="regrow.ingest"):
+            for _ in range(2):  # the codes map is shared; the next load warns again
+                load_reference_points(path, {}, lulc_years=(2015, 2024))
+        messages = [rec.getMessage() for rec in caplog.records]
+        assert messages == [
+            f"unmapped LULC code 98 kept as Other(98) in 3 cell(s) of {path}",
+            f"unmapped LULC code 99 kept as Other(99) in 100 cell(s) of {path}",
+        ] * 2
+
 
 class TestFilterSites:
     def test_area_dropped_first(self):

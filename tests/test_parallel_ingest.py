@@ -2,10 +2,11 @@
 
 ``ingest._Table._parse_bulk`` cuts a table of more than ``_POOL_CELLS``
 numeric cells into one row slab per worker; each worker parses its slab into
-its rows of one shared matrix. ``_available_cores`` is pinned to 2 and the
-threshold lowered where a test needs the pool, so the forked path runs on
-any machine and on small worlds. The result must not depend on it: the same
-Dataset, bit for bit, or the same error at the same file and line.
+its rows of one shared matrix, ``_PARSE_CELLS`` cells of rows at a time.
+``_available_cores`` is pinned to 2 and the thresholds lowered where a test
+needs the pool or many sub-blocks, so those paths run on any machine and on
+small worlds. The result must not depend on it: the same Dataset, bit for
+bit, or the same error at the same file and line.
 """
 
 from __future__ import annotations
@@ -73,14 +74,19 @@ def pooled(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def no_pool(monkeypatch):
-    """Two cores, and a pool that fails if it is asked for."""
+def _in_process(mp):
+    """A pool that fails if it is asked for."""
     def refuse(*args):
         raise AssertionError("pool asked for")
 
+    mp.setattr(ingest, "run_jobs", refuse)
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Two cores, and a pool that fails if it is asked for."""
     monkeypatch.setattr(pool, "_available_cores", lambda: 2)
-    monkeypatch.setattr(ingest, "run_jobs", refuse)
+    _in_process(monkeypatch)
 
 
 def test_unmutated_world_matches_on_the_pool(base_world, pooled):
@@ -184,3 +190,48 @@ def test_commands_write_identical_files_for_any_thread_count(mid_world, pooled, 
         assert (mismatch, errors) == ([], []), label
     # Each pooled load parses five numeric tables in two slabs.
     assert pooled == [2] * 10
+
+
+#: Sub-block budgets: 1-3 rows of the widest tables of the base world
+#: (covariates, 9 cells a row; embeddings, 8), 1-13 rows of the narrowest.
+sub_block_cells = st.integers(1, 27)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutations=st.lists(mutation, min_size=1, max_size=4), cells=sub_block_cells,
+       on_pool=st.booleans())
+def test_mutated_worlds_match_the_oracle_in_sub_blocks(base_world, mutations, cells, on_pool):
+    with pytest.MonkeyPatch.context() as mp:
+        if on_pool:
+            _pin(mp, [])
+        else:
+            _in_process(mp)
+        mp.setattr(ingest, "_PARSE_CELLS", cells)
+        assert_same_outcome(apply_mutations(base_world, mutations))
+
+
+@pytest.mark.parametrize("on_pool", [False, True], ids=["in_process", "pool"])
+@pytest.mark.parametrize("anomaly", sorted(LAST_ROW_ANOMALIES))
+@pytest.mark.parametrize("name", sorted(NUMERIC_COLUMN))
+def test_an_anomaly_in_the_last_sub_block_falls_back(base_world, monkeypatch, name, anomaly,
+                                                     on_pool):
+    calls = []
+    if on_pool:
+        _pin(monkeypatch, calls)
+    else:
+        _in_process(monkeypatch)
+    monkeypatch.setattr(ingest, "_PARSE_CELLS", 1)  # one row a sub-block
+    bulk = {}
+    parse_bulk = ingest._Table._parse_bulk
+
+    def recording_parse_bulk(table, *args):
+        bulk[table.path.name] = result = parse_bulk(table, *args)
+        return result
+
+    monkeypatch.setattr(ingest._Table, "_parse_bulk", recording_parse_bulk)
+    kind, spelling = LAST_ROW_ANOMALIES[anomaly]
+    mutated = apply_mutations(base_world, [(kind, name, -1, NUMERIC_COLUMN[name], spelling)])
+    assert_same_outcome(mutated)
+    # Only the mutated table, its anomaly in its last row, went cell by cell.
+    assert {table for table, result in bulk.items() if result is None} == {name}
+    assert set(calls) == ({2} if on_pool else set())

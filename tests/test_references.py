@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from regrow.errors import (
     NoCentroidForClassError,
     NoSecondaryForestPointsError,
 )
-from regrow.geo import haversine_km
+from regrow.geo import EARTH_RADIUS_KM, haversine_km_many
 from regrow.references import (
     ReferenceSet,
     ReferenceTable,
@@ -196,6 +198,16 @@ class TestFindLocalReference:
             refset.secondary_embedding("z")
 
 
+def haversine_km(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
+    """Oracle: the scalar great-circle distance in km, one point pair at a time."""
+    phi1 = math.radians(lat1)
+    phi2 = math.radians(lat2)
+    dphi = math.radians(lat2 - lat1)
+    dlam = math.radians(lon2 - lon1)
+    a = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2) ** 2
+    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(a)))
+
+
 class TestHaversine:
     def test_symmetric_and_zero_on_coincidence(self):
         rng = np.random.default_rng(11)
@@ -207,6 +219,14 @@ class TestHaversine:
             assert d12 == pytest.approx(d21, abs=1e-9)
             assert d12 > 0.0 or (lon1 == lon2 and lat1 == lat2)
         assert haversine_km(10.0, -5.0, 10.0, -5.0) == 0.0
+
+    def test_many_matches_the_scalar_oracle(self):
+        rng = np.random.default_rng(12)
+        lons = rng.uniform(-179.0, 179.0, 300)
+        lats = rng.uniform(-89.0, 89.0, 300)
+        for lon, lat in [(0.0, 0.0), (-47.0, -22.0), (lons[5], lats[5])]:
+            want = [haversine_km(lon, lat, x, y) for x, y in zip(lons, lats)]
+            assert haversine_km_many(lon, lat, lons, lats) == pytest.approx(want, rel=1e-12, abs=1e-9)
 
 
 def stable_point(pid, cls, emb, year=2024):

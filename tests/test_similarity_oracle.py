@@ -3,7 +3,9 @@
 The oracles below are the loops the batched code replaced: the per-pair
 ``np.dot``/``np.linalg.norm`` cosine, the per-point silhouette loop, the
 lexsort nearest-reference lookup and the per-class nearest-centroid loop.
-Every result must be bitwise equal to its oracle, not merely close.
+Every result must be bitwise equal to its oracle, not merely close. Past
+one row block, the silhouette's oracle is the per-point loop over the same
+block products.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from regrow.core import (
 )
 from regrow.errors import WrongDimensionError, ZeroVectorError
 from regrow.geo import haversine_km_many
+from regrow import projection
 from regrow.projection import silhouette_score
 from regrow.references import (
     ReferenceSet,
@@ -136,7 +139,25 @@ def _oracle_silhouette(embeddings, labels) -> float:
     norms = np.linalg.norm(X, axis=1)
     unit = X / norms[:, None]
     dist = np.clip(1.0 - unit @ unit.T, 0.0, 2.0)
+    return _oracle_silhouette_of(dist, labels)
 
+
+def _blocked_distances(embeddings, rows: int) -> np.ndarray:
+    """The oracle's cosine distances with the products taken ``rows`` rows at a time.
+
+    BLAS may round a product of a row block against every row (gemm) in the
+    last place apart from the same entry of the whole symmetric product
+    (syrk), so this is bitwise the dense matrix only when one block holds
+    every row.
+    """
+    X = np.stack([e.values for e in embeddings])
+    unit = X / np.linalg.norm(X, axis=1)[:, None]
+    products = np.vstack([unit[a:a + rows] @ unit.T for a in range(0, len(X), rows)])
+    return np.clip(1.0 - products, 0.0, 2.0)
+
+
+def _oracle_silhouette_of(dist, labels) -> float:
+    """The per-point silhouette loop over an n x n distance matrix."""
     labels_arr = np.asarray(labels)
     unique = sorted(set(labels))
     masks = {lab: labels_arr == lab for lab in unique}
@@ -200,6 +221,54 @@ class TestSilhouette:
         embs = [EmbeddingVector(row) for row in rng.normal(size=(n, 16))]
         labels = [f"L{int(k)}" for k in rng.integers(0, n_labels, size=n)]
         assert _bits(silhouette_score(embs, labels)) == _bits(_oracle_silhouette(embs, labels))
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 60),
+        rows=st.integers(1, 7),
+        n_labels=st.integers(2, 6),
+        d=st.integers(1, 12),
+        kind=_KINDS,
+        duplicates=st.booleans(),
+    )
+    def test_row_blocks_equal_the_per_point_loop(self, seed, n, rows, n_labels, d, kind,
+                                                 duplicates):
+        rng = np.random.default_rng(seed)
+        X = _matrix(rng, n, d, kind)
+        if duplicates:
+            X[rng.integers(0, n, size=n // 2)] = X[0]
+        labels = [f"L{int(k)}" for k in rng.integers(0, n_labels, size=n)]
+        if len(set(labels)) < 2:
+            labels[0], labels[-1] = "L0", "L1"
+        embs = [EmbeddingVector(row) for row in X]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(projection, "_BLOCK_CELLS", rows * n)  # blocks of ``rows`` rows
+            got = silhouette_score(embs, labels)
+        want = _oracle_silhouette_of(_blocked_distances(embs, rows), labels)
+        assert _bits(got) == _bits(want)
+        if rows >= n:  # one block: the whole symmetric product
+            assert _bits(got) == _bits(_oracle_silhouette(embs, labels))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, "below"])
+    def test_n_around_one_block(self, offset):
+        # n * n distance cells fill the budget at n = block; a block is then
+        # every row at n <= block and two blocks are needed at block + 1.
+        block = math.isqrt(projection._BLOCK_CELLS)
+        n = block // 3 if offset == "below" else block + offset
+        rows = max(1, projection._BLOCK_CELLS // n)
+        rng = np.random.default_rng(n)
+        centres = rng.normal(size=(4, 16))
+        labels_idx = rng.integers(0, 4, size=n)
+        embs = [EmbeddingVector(row) for row in rng.normal(size=(n, 16)) + centres[labels_idx]]
+        labels = [f"L{int(k)}" for k in labels_idx]
+        got = silhouette_score(embs, labels)
+        assert _bits(got) == _bits(_oracle_silhouette_of(_blocked_distances(embs, rows), labels))
+        dense = _oracle_silhouette(embs, labels)
+        if rows >= n:
+            assert _bits(got) == _bits(dense)
+        else:  # the products' last-place rounding may differ from the dense one
+            assert got == pytest.approx(dense, rel=1e-12)
 
     def test_all_points_identical_scores_zero(self):
         embs = [EmbeddingVector(np.ones(4))] * 6
