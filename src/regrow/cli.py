@@ -27,7 +27,7 @@ from . import ingest
 from .cluster import spatial_kfold
 from .core import Strategy
 from .csvio import write_csv
-from .errors import InvalidValueError, RegrowError
+from .errors import DegenerateDataError, InvalidValueError, RegrowError
 from .prediction import (
     FeatureSet,
     ModelKind,
@@ -568,6 +568,9 @@ def _cmd_project(args, settings, outputs: RunOutputs) -> None:
         p for p in points
         if p.stability.kind.value == "stable" and year in p.embeddings
     ]
+    if len(stable) < 3:
+        raise DegenerateDataError(f"need at least 3 stable reference points with an "
+                                  f"embedding for year {year}, got {len(stable)}")
     model = fit_projection([p.embeddings[year] for p in stable])
     outputs.write_csv(
         "projection_model.csv",

@@ -1,10 +1,10 @@
 r"""Deterministic CSV writing helpers.
 
 All output tables use `\n` line endings and shortest-round-trip float
-formatting (repr) so identical runs produce byte-identical files. A large
-table whose caller allows it is formatted in contiguous slabs on a worker
-pool and written here in order, so its bytes do not depend on the worker
-count.
+formatting (repr) so identical runs produce byte-identical files. A table
+whose caller allows it is formatted in contiguous slabs through
+``pool.iter_jobs``, on the worker pool when it has two slabs or more, and
+written here in order, so its bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -14,10 +14,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .pool import _worker_count, iter_jobs
+from .pool import iter_jobs
 
 #: Cells (an array cell counts its entries) per slab of a table formatted
-#: on the pool; a table that fills one slab or less is formatted here.
+#: through the pool; a table that fills one slab or less is one job, which
+#: runs here.
 #: Measured on 2 cores with the 2500-site world in memory: a pool costs
 #: ~0.03 s and formats ~1.5x as fast as one process (~1.5 us a cell), so it
 #: broke even near 55k cells, was within noise at 80k (spectral.csv) and
@@ -62,29 +63,24 @@ def write_csv(
 
     With ``threads`` 1 (the default) each row is formatted here as it comes.
     A caller that passes another cap (None: every available core) hands over
-    the whole table: one of more than ``_SLAB_CELLS`` cells is then cut into
-    slabs of about that many, formatted on up to ``threads`` worker
-    processes, and each slab is written here as soon as it and the slabs
-    before it are done.
+    the whole table, which is cut into slabs of at most ``_SLAB_CELLS`` cells
+    (one row at least) and formatted by ``pool.iter_jobs`` (on up to ``threads`` worker
+    processes when there are two slabs or more); each slab is written here
+    as soon as it and the slabs before it are done.
     """
     path = Path(path)
-    n_slabs = 1
     if threads != 1:
         rows = list(rows)
-        cells = len(rows) * _row_cells(rows[0]) if rows else 0
-        n_slabs = min(len(rows), -(-cells // _SLAB_CELLS))
-        # Also rejects threads < 1, whichever way the table goes.
-        if _worker_count(threads, n_slabs) == 1:
-            n_slabs = 1
+        step = max(1, _SLAB_CELLS // _row_cells(rows[0])) if rows else 1
+        slabs = iter_jobs(_format_rows, [(rows[a:a + step],) for a in range(0, len(rows), step)],
+                          threads)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        if n_slabs == 1:
+        if threads == 1:
             for row in rows:
                 fh.write(",".join(format_cell(v) for v in row) + "\n")
         else:
-            cuts = [len(rows) * i // n_slabs for i in range(n_slabs + 1)]
-            slabs = [(rows[a:b],) for a, b in zip(cuts, cuts[1:])]
-            for text in iter_jobs(_format_rows, slabs, threads):
+            for text in slabs:
                 fh.write(text)
     return path

@@ -24,19 +24,19 @@ Parse contract:
 
 Each file is read once. A table's numeric columns are parsed in bulk by
 ``np.fromstring``, which rounds as ``float()`` does, into one read-only
-matrix. A table of more than ``_POOL_CELLS`` numeric cells is cut into
-contiguous row slabs, one per worker of the pool (``threads`` caps it, as
-everywhere), and each worker parses its slab into its rows of one shared
-matrix; a smaller table, or one worker, parses the whole table here as one
-slab. A slab is parsed ``_PARSE_CELLS`` cells of rows at a time, so beyond
-the file's text, the matrix and the rows' other fields, a parse holds one
-sub-block of text and values (~2 MB) per worker, never the table's numeric
-text again. If any slab meets anything unusual (a quoted file, a wrong field
-count, a cell numpy cannot read, blanks in a cell, a non-finite value) the
-table is parsed again cell by cell, which raises at the right line or
-accepts what ``float()`` accepts and numpy does not, such as ``1_0``. Files
-that ``regrow synth`` writes never take that path. The matrix does not
-depend on the number of workers.
+matrix, ``_PARSE_CELLS`` cells of rows at a time: each such row block is
+one job of ``pool.iter_jobs``. A table of more than ``_POOL_CELLS`` numeric
+cells runs its blocks on the worker pool (``threads`` caps it, as
+everywhere), each worker writing its blocks' rows of one shared matrix; a
+smaller table parses its blocks here. Beyond the file's text, the matrix and
+the rows' other fields, a parse holds one block of text and values (~2 MB)
+per worker, never the table's numeric text again. If a block meets anything
+unusual (a quoted file, a wrong field count, a cell numpy cannot read,
+blanks in a cell, a non-finite value) the parse stops and the table is
+parsed again cell by cell, which raises at the right line or accepts what
+``float()`` accepts and numpy does not, such as ``1_0``. Files that
+``regrow synth`` writes never take that path. The matrix does not depend on
+the number of workers.
 
 Loading is order-independent: outputs are keyed or sorted by id, so a
 shuffled input yields an identical Dataset.
@@ -76,28 +76,28 @@ from .errors import (
     NonFiniteError,
     RegrowError,
 )
-from .pool import _worker_count, run_jobs
+from .pool import iter_jobs
 
 log = logging.getLogger("regrow.ingest")
 
 DEFAULT_LULC_YEARS = (2015, 2024)
 
-#: Numeric cells of a table above which its bulk parse runs on the pool, one
-#: row slab per worker. Measured on 2 cores with row prefixes of the seed-7
-#: embeddings.csv, each load in a fresh process (median of 11): a pool,
-#: multiprocessing's import included, costs ~0.03 s; it lost 0.015 s at
-#: 256k cells, broke even near 300k, and saved 0.026 s at 384k and ~0.1 s
-#: of ~0.5 s on the whole file (676k). The 5x world's 3.9M cells parse in
-#: ~2.2 s instead of ~2.9 s.
+#: Numeric cells of a table above which its row blocks are parsed on the
+#: pool. Measured on 2 cores with row prefixes of the seed-7 embeddings.csv,
+#: each load in a fresh process (median of 11): a pool, multiprocessing's
+#: import included, costs ~0.03 s; it lost 0.015 s at 256k cells, broke even
+#: near 300k, and saved 0.026 s at 384k and ~0.1 s of ~0.5 s on the whole
+#: file (676k). The 5x world's 3.9M cells parse in ~2.2 s instead of ~2.9 s.
 _POOL_CELLS = 300_000
 
-#: Numeric cells of one sub-block of a slab's parse (``_parse_slab``): 1024
-#: rows of 64 embedding values, ~1.3 MB of text. Measured on 2 cores, in
-#: process: the seed-7 embeddings.csv (676k cells) parsed in 0.43-0.49 s
-#: (median of 7) at every sub-block from 4k cells to the whole slab, with
-#: no trend; a ``threads=1`` load of the 5x world's embeddings.csv (3.9M
-#: cells) peaked at 189 MB RSS with 8k-64k cells, 195 MB with 256k, 231 MB
-#: with 1M and 292 MB with the whole slab as one block.
+#: Numeric cells of one row block, the unit of a bulk parse and one job of
+#: the pool: 1024 rows of 64 embedding values, ~1.3 MB of text. Measured on
+#: 2 cores, in process: the seed-7 embeddings.csv (676k cells) parsed in
+#: 0.43-0.49 s (median of 7) at every block size from 4k cells to the whole
+#: table, with no trend; a ``threads=1`` load of the 5x world's
+#: embeddings.csv (3.9M cells) peaked at 189 MB RSS with 8k-64k cells,
+#: 195 MB with 256k, 231 MB with 1M and 292 MB with the whole table as one
+#: block.
 _PARSE_CELLS = 65_536
 
 #: Characters of a cell that an error message echoes.
@@ -267,71 +267,67 @@ class _Table:
         """Parse the numeric cells of every row in bulk, or None on any anomaly.
 
         Returns ([(line, other fields), ...], read-only (rows, count) matrix).
-        A table of more than ``_POOL_CELLS`` cells is parsed in one row slab
-        per worker; the workers write into a shared anonymous mapping made
-        before they fork, so only each slab's other fields come back through
-        a pipe. Any slab's anomaly (see ``_parse_slab``) sends the whole
-        table to the cell-by-cell path.
+        The rows are cut into blocks of ``_PARSE_CELLS`` cells, one job each
+        (see ``_parse_slab``). A table of more than ``_POOL_CELLS`` cells
+        hands them to the pool: its matrix is an anonymous mapping made
+        before the workers fork, so only each block's other fields come back
+        through a pipe. The first block with an anomaly ends the parse, and
+        the table goes cell by cell.
         """
         if self._quoted:
             return None
         n = len(self._records)
-        # Also rejects threads < 1, whichever way the table goes.
-        workers = _worker_count(threads, n)
-        if workers == 1 or n * count <= _POOL_CELLS:
-            matrix = np.empty((n, count))
-            parts = [_parse_slab(self._records, 0, n, first, count, width, matrix)]
+        if n * count > _POOL_CELLS:
+            matrix = np.frombuffer(mmap.mmap(-1, n * count * 8)).reshape(n, count)
         else:
-            shared = mmap.mmap(-1, n * count * 8)
-            matrix = np.frombuffer(shared, dtype=np.float64).reshape(n, count)
-            cuts = [n * i // workers for i in range(workers + 1)]
-            parts = run_jobs(_parse_slab, [
-                (self._records, a, b, first, count, width, matrix) for a, b in zip(cuts, cuts[1:])
-            ], threads)
-        if any(part is None for part in parts):
-            return None
+            matrix = np.empty((n, count))
+            # In process; min keeps a cap below 1, which the pool rejects.
+            threads = 1 if threads is None else min(threads, 1)
+        step = max(1, _PARSE_CELLS // count)
+        blocks = [(self._records, a, min(a + step, n), first, count, width, matrix)
+                  for a in range(0, n, step)]
+        fields = []
+        for part in iter_jobs(_parse_slab, blocks, threads):
+            if part is None:
+                return None
+            fields += part
         matrix.flags.writeable = False
-        return [row for part in parts for row in part], matrix
+        return fields, matrix
 
 
 def _parse_slab(records, a: int, b: int, first: int, count: int, width: int, out: np.ndarray):
-    """Parse the numeric cells of ``records[a:b]`` into ``out[a:b]``.
+    """Parse the numeric cells of the block ``records[a:b]`` into ``out[a:b]``.
 
-    Takes rows ``_PARSE_CELLS`` numeric cells' worth at a time, so only one
-    sub-block's text is joined and parsed at once. Returns the slab's
-    [(line, other fields), ...], or None on an anomaly in any sub-block:
+    Returns the block's [(line, other fields), ...], or None on an anomaly:
     a row without exactly ``width`` fields, a cell numpy cannot parse or
     that holds blanks, or a non-finite value.
     """
     n_after = width - first - count
-    step = max(1, _PARSE_CELLS // count)
     fields = []
-    for lo in range(a, b, step):
-        hi = min(lo + step, b)
-        blocks = []
-        for line, rec in records[lo:hi]:
-            if rec.count(",") != width - 1:
-                return None
-            other = rec.split(",", first)
-            block = other.pop()
-            if n_after:
-                tail = block.rsplit(",", n_after)
-                block = tail.pop(0)
-                other += tail
-            fields.append((line, other))
-            blocks.append(block)
-        joined = ",".join(blocks)
-        # numpy, like float(), skips blanks around a number, but it reads a
-        # blank cell as -1; cells with blanks are left to the cell-by-cell path.
-        if any(blank in joined for blank in " \t\v\f"):
+    cells = []
+    for line, rec in records[a:b]:
+        if rec.count(",") != width - 1:
             return None
-        try:
-            values = np.fromstring(joined, sep=",")
-        except ValueError:
-            return None
-        if values.size != (hi - lo) * count or not np.isfinite(values).all():
-            return None
-        out[lo:hi] = values.reshape(hi - lo, count)
+        other = rec.split(",", first)
+        text = other.pop()
+        if n_after:
+            tail = text.rsplit(",", n_after)
+            text = tail.pop(0)
+            other += tail
+        fields.append((line, other))
+        cells.append(text)
+    joined = ",".join(cells)
+    # numpy, like float(), skips blanks around a number, but it reads a
+    # blank cell as -1; cells with blanks are left to the cell-by-cell path.
+    if any(blank in joined for blank in " \t\v\f"):
+        return None
+    try:
+        values = np.fromstring(joined, sep=",")
+    except ValueError:
+        return None
+    if values.size != (b - a) * count or not np.isfinite(values).all():
+        return None
+    out[a:b] = values.reshape(b - a, count)
     return fields
 
 

@@ -1,12 +1,13 @@
 """Independent jobs on a pool of forked worker processes.
 
-This is the one place regrow starts processes: ``predict`` runs its
-cross-validation fits through ``run_jobs``, ``ingest`` parses the row slabs
-of a large input table through ``run_jobs``, and ``csvio.write_csv``
-formats the row slabs of a large table through ``iter_jobs``. Callers pass
-a cap (``threads``, ``None`` for every available core); results never
-depend on the number of workers. ``multiprocessing`` is imported only when a pool is
-started, so commands that never need one skip its import cost.
+This is the one place regrow starts processes, and ``iter_jobs`` is the one
+way in: ``predict`` runs its cross-validation fits through it, ``ingest``
+parses the row blocks of a large input table, and ``csvio.write_csv``
+formats the row slabs of a large table. Callers pass a cap (``threads``,
+``None`` for every available core); how many workers run, if any, is
+decided here, and results never depend on it. ``multiprocessing`` is
+imported only when a pool is started, so commands that never need one skip
+its import cost.
 """
 
 from __future__ import annotations
@@ -51,59 +52,46 @@ def _run_job(index: int):
         return None, exc
 
 
-def _outcomes(fn: Callable, jobs: Sequence[tuple], workers: int, order: Sequence[int]):
-    """``(result, error)`` of every job, in ``order``, from a pool of
-    ``workers``; each is yielded once it and every job before it are done.
+def iter_jobs(
+    fn: Callable, jobs: Sequence[tuple], threads: int | None,
+    order: Sequence[int] | None = None,
+) -> Iterator:
+    """``fn(*job)`` for every job, in job order, each as soon as it and every
+    job before it are done.
+
+    ``threads`` is checked here, before any job runs. With one worker each
+    job runs here when its result is asked for. Otherwise the jobs run on a
+    pool in ``order`` (job indices; default: job order) while the caller
+    uses the results that are ready. An error is raised at its job's turn,
+    so the one raised is the first in job order.
+    """
+    workers = _worker_count(threads, len(jobs))
+    if workers == 1:
+        return (fn(*job) for job in jobs)
+    return _pooled(fn, jobs, workers, range(len(jobs)) if order is None else order)
+
+
+def _pooled(fn: Callable, jobs: Sequence[tuple], workers: int, order: Sequence[int]) -> Iterator:
+    """The results of ``jobs`` run in ``order`` on a pool of ``workers``, put
+    back in job order: a job done ahead of its turn waits here.
 
     The pool forks: the workers inherit ``fn`` and ``jobs`` instead of
     unpickling them, and a spawned worker would import numpy and regrow
     again, which costs about as much as a forest fit. Only the results cross
     a pipe. Each worker takes one job at a time, so the pool stays balanced.
+    Leaving the loop early, or an error, terminates the pool.
     """
     import multiprocessing  # only here: every other command skips the import cost
 
     context = multiprocessing.get_context("fork")
+    done = {}
+    turn = 0
     with context.Pool(workers, initializer=_inherit, initargs=(fn, jobs)) as pool:
-        yield from pool.imap(_run_job, order, chunksize=1)
-
-
-def run_jobs(
-    fn: Callable, jobs: Sequence[tuple], threads: int | None,
-    order: Sequence[int] | None = None,
-) -> list:
-    """``fn(*job)`` for every job, in job order.
-
-    With one worker the jobs run here, in order. Otherwise they run on a
-    pool in ``order`` (job indices; default: job order), and an error raised
-    in a worker is raised here, the first in job order.
-    """
-    workers = _worker_count(threads, len(jobs))
-    if workers == 1:
-        return [fn(*job) for job in jobs]
-    order = range(len(jobs)) if order is None else order
-    outcomes = dict(zip(order, _outcomes(fn, jobs, workers, order)))
-    results = []
-    for i in range(len(jobs)):
-        result, exc = outcomes[i]
-        if exc is not None:
-            raise exc
-        results.append(result)
-    return results
-
-
-def iter_jobs(fn: Callable, jobs: Sequence[tuple], threads: int | None) -> Iterator:
-    """``fn(*job)`` for every job, in job order, each as soon as it is done.
-
-    The caller uses a result while the workers run the next jobs, and holds
-    only the results it has not taken yet. With one worker each job runs
-    here when its result is asked for. An error is raised at its job's turn.
-    """
-    workers = _worker_count(threads, len(jobs))
-    if workers == 1:
-        for job in jobs:
-            yield fn(*job)
-        return
-    for result, exc in _outcomes(fn, jobs, workers, range(len(jobs))):
-        if exc is not None:
-            raise exc
-        yield result
+        for index, outcome in zip(order, pool.imap(_run_job, order, chunksize=1)):
+            done[index] = outcome
+            while turn in done:
+                result, exc = done.pop(turn)
+                if exc is not None:
+                    raise exc
+                yield result
+                turn += 1

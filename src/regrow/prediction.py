@@ -20,7 +20,7 @@ from .core import CovariateSet, SiteRecord, cosine_similarity
 from .errors import FoldTooSmallError, InvalidValueError, MissingFeatureError
 from .forest import train_random_forest
 from .linear_models import train_linear, train_logistic
-from .pool import run_jobs
+from .pool import iter_jobs
 from .references import ReferenceSet
 
 log = logging.getLogger("regrow.prediction")
@@ -285,10 +285,8 @@ def evaluate(
             raise InvalidValueError(f"model {model.value} cannot target task {task.value}")
     if folds.k < 2:
         raise FoldTooSmallError("cross-validation needs at least 2 folds")
-    if threads is not None and threads < 1:
-        raise InvalidValueError(f"threads must be at least 1, got {threads}")
 
-    # Plan every fit, then run them all, then score them in the plan's order.
+    # Plan every fit, then run them all and score each in the plan's order.
     regression = task is Task.FUTURE_SIMILARITY
     plans = []  # (model, fs, excluded, skipped, label alphabet, per-fold (fold, n_train, y_test))
     jobs = []  # _fit_predict arguments, one tuple per planned fold
@@ -338,7 +336,7 @@ def evaluate(
 
     # Random-forest fits (the slow ones) go to the pool first.
     order = sorted(range(len(jobs)), key=lambda i: jobs[i][0] is not ModelKind.RANDOM_FOREST)
-    predictions = iter(run_jobs(_fit_predict, jobs, threads, order))
+    predictions = iter_jobs(_fit_predict, jobs, threads, order)
     results = []
     for model, fs, excluded, skipped, label_alphabet, fold_plans in plans:
         per_fold: list[FoldMetrics] = []

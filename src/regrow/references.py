@@ -121,10 +121,10 @@ class ReferenceYearPolicy:
 
 @dataclass(frozen=True)
 class SecondaryPoint:
+    """Where a stable secondary point lies; ``ReferenceSet.secondary_embedding`` has its vectors."""
     point_id: str
     lon: float
     lat: float
-    embedding: EmbeddingVector
 
 
 @dataclass(frozen=True)
@@ -216,9 +216,10 @@ def _mean_embedding(members: Sequence[tuple[str, EmbeddingVector]]) -> Embedding
     return EmbeddingVector(stack.mean(axis=0))
 
 
-def _stable_members_by_class(
+def stable_members_by_class(
     points: Sequence[ReferencePoint], year: int
 ) -> dict[LULCClass, list[tuple[str, ReferencePoint]]]:
+    """(point_id, point) of each stable point with a ``year`` embedding, by class."""
     out: dict[LULCClass, list[tuple[str, ReferencePoint]]] = {}
     for p in points:
         if p.stability.kind is StabilityKind.STABLE and year in p.embeddings:
@@ -244,7 +245,7 @@ def build_reference_set(
     tables: dict[int, ReferenceTable] = {}
     secondary_points: tuple[SecondaryPoint, ...] = ()
     for year in years:
-        members = _stable_members_by_class(points, year)
+        members = stable_members_by_class(points, year)
         if SECONDARY_FOREST not in members:
             continue
         secondary = sorted(members[SECONDARY_FOREST])
@@ -257,7 +258,7 @@ def build_reference_set(
         )
         if year == policy.year:
             secondary_points = tuple(
-                SecondaryPoint(pid, p.lon, p.lat, p.embeddings[year]) for pid, p in secondary
+                SecondaryPoint(pid, p.lon, p.lat) for pid, p in secondary
             )
     if policy.year not in tables:
         raise NoSecondaryForestPointsError(
@@ -302,7 +303,7 @@ def detect_outliers(
     year = refset.policy.year
     if metric not in ("cosine", "euclidean"):
         raise InvalidValueError(f"unknown outlier metric {metric!r}")
-    members = _stable_members_by_class(points, year).get(lulc, [])
+    members = stable_members_by_class(points, year).get(lulc, [])
     if not members:
         return OutlierReport(lulc=lulc, metric=metric, ranked=())
     emb = np.stack([p.embeddings[year].values for _, p in members])

@@ -30,7 +30,7 @@ from .errors import (
     NoEmbeddingsError,
     TooFewCentroidsError,
 )
-from .references import ReferenceSet, _stable_members_by_class, find_local_reference
+from .references import ReferenceSet, stable_members_by_class, find_local_reference
 
 __all__ = [
     "cosine_similarity",
@@ -190,7 +190,7 @@ def compute_baselines(
     """
     year = refset.policy.year
     ref = refset.global_ref
-    members = _stable_members_by_class(sorted(points, key=lambda p: p.point_id), year)
+    members = stable_members_by_class(sorted(points, key=lambda p: p.point_id), year)
 
     def band(target: LULCClass) -> float:
         if target not in members:

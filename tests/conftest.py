@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from regrow import pool
 from regrow.core import EmbeddingVector, SiteRecord, Strategy
 from regrow.references import ReferenceYearPolicy, build_reference_set, classify_points
 from regrow.synthetic import SynthConfig, generate_world
@@ -16,6 +17,27 @@ def basis(dim: int, axis: int, scale: float = 1.0) -> EmbeddingVector:
     v = np.zeros(dim)
     v[axis] = scale
     return EmbeddingVector(v)
+
+
+def count_pools(mp: pytest.MonkeyPatch, runs: list) -> None:
+    """Two cores; ``runs`` gets the job count of each pool ``pool.iter_jobs`` starts."""
+    start = pool._pooled
+
+    def counting(fn, jobs, workers, order):
+        runs.append(len(jobs))
+        return start(fn, jobs, workers, order)
+
+    mp.setattr(pool, "_available_cores", lambda: 2)
+    mp.setattr(pool, "_pooled", counting)
+
+
+def refuse_pools(mp: pytest.MonkeyPatch) -> None:
+    """Two cores, and a pool that fails if ``pool.iter_jobs`` starts one."""
+    def refuse(*args):
+        raise AssertionError("pool started")
+
+    mp.setattr(pool, "_available_cores", lambda: 2)
+    mp.setattr(pool, "_pooled", refuse)
 
 
 def make_site(site_id="s1", start_year=2020, embeddings=None, **kwargs) -> SiteRecord:

@@ -274,6 +274,16 @@ class TestProjectCommand:
         sil = (out / "silhouette.csv").read_text().splitlines()[1]
         assert float(sil.split(",")[1]) > 0.0
 
+    def test_reference_year_without_embeddings_names_the_year(self, world_dir, tmp_path, capsys):
+        out = tmp_path / "proj"
+        code = run(["project", "--inputs-dir", world_dir, "--output-dir", out,
+                    "--reference-year", "2030"])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "degenerate_data"
+        assert "year 2030, got 0" in record["message"]
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestPredictCommand:
     def test_outputs(self, world_dir, tmp_path):

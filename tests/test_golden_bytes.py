@@ -7,8 +7,9 @@ kinds and ``classify_trajectory``, under the fixed and the per-year
 reference policy), must equal those in ``golden_bytes.json``. Manifests
 are left out: they record the run's own paths.
 
-Two cores are assumed and the pool thresholds lowered, so the worker pools
-of ``synth``, ``predict`` and ingest run on this small world. A copy of the
+Two cores are assumed and the pool thresholds and ingest's row blocks
+lowered, so the worker pools of ``synth``, ``predict`` and ingest run on
+this small world, each with more than one job. A copy of the
 inputs with every table's rows shuffled must give the same artifacts.
 
 A change that alters an artifact's bytes on purpose records the new
@@ -133,14 +134,30 @@ def record() -> dict:
     return golden
 
 
+#: The jobs of every pool each pinned run started: synth formats its tables
+#: (``_format_rows``), ingest parses row blocks (``_parse_slab``) and
+#: predict fits its folds (``_fit_predict``).
+POOLED = ("_format_rows", "_parse_slab", "_fit_predict")
+
+
 @pytest.fixture(scope="module")
 def pinned():
-    """Two cores, and thresholds low enough that this world reaches every pool."""
+    """Two cores, and thresholds low enough that this world reaches every
+    pool; yields the name of each pool's job function."""
+    pools = []
+    start = pool._pooled
+
+    def recording(fn, jobs, workers, order):
+        pools.append(fn.__name__)
+        return start(fn, jobs, workers, order)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pool, "_available_cores", lambda: 2)
+        mp.setattr(pool, "_pooled", recording)
         mp.setattr(csvio, "_SLAB_CELLS", 2_000)
         mp.setattr(ingest, "_POOL_CELLS", 2_000)
-        yield
+        mp.setattr(ingest, "_PARSE_CELLS", 1_000)
+        yield pools
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +179,7 @@ def test_synth_and_every_command_write_the_golden_bytes(pinned, world, golden, t
     path, synth = world
     got = {**synth, **run_commands(path, tmp_path)}
     assert _differing(got, golden["cli"]) == []
+    assert set(pinned) == set(POOLED)
 
 
 def test_library_results_match_the_golden_digests(pinned, world, golden):

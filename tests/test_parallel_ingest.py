@@ -1,12 +1,13 @@
-"""The bulk parse of large input tables on the worker pool.
+"""The bulk parse of input tables in row blocks, on the worker pool when large.
 
-``ingest._Table._parse_bulk`` cuts a table of more than ``_POOL_CELLS``
-numeric cells into one row slab per worker; each worker parses its slab into
-its rows of one shared matrix, ``_PARSE_CELLS`` cells of rows at a time.
-``_available_cores`` is pinned to 2 and the thresholds lowered where a test
-needs the pool or many sub-blocks, so those paths run on any machine and on
-small worlds. The result must not depend on it: the same Dataset, bit for
-bit, or the same error at the same file and line.
+``ingest._Table._parse_bulk`` cuts a table into row blocks of
+``_PARSE_CELLS`` numeric cells, one job of ``pool.iter_jobs`` each; a table
+of more than ``_POOL_CELLS`` cells runs them on the pool, each worker
+parsing its blocks into their rows of one shared matrix. ``_available_cores``
+is pinned to 2 and the thresholds lowered where a test needs the pool or
+many blocks, so those paths run on any machine and on small worlds. The
+result must not depend on it: the same Dataset, bit for bit, or the same
+error at the same file and line.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regrow import ingest, pool
+from conftest import count_pools, refuse_pools
+from regrow import ingest
 from regrow.cli import main
 from regrow.errors import InvalidValueError
 from regrow.synthetic import SynthConfig, generate_world, write_world
@@ -55,16 +57,35 @@ def base_world(tmp_path_factory) -> dict[str, str]:
     return {name: (out / name).read_text(encoding="utf-8") for name in FILES}
 
 
-def _pin(mp, calls):
-    """Two cores, every numeric table on the pool; ``calls`` gets each pooled
-    table's slab count."""
-    def counting_run_jobs(fn, jobs, threads, order=None):
-        calls.append(len(jobs))
-        return pool.run_jobs(fn, jobs, threads, order)
+#: Numeric cells of a block while pinned: the 8 rows of the base world's
+#: sites.csv (3 cells a row) make two blocks.
+PINNED_BLOCK_CELLS = 12
 
-    mp.setattr(pool, "_available_cores", lambda: 2)
+#: Numeric cells of a row in each table a load parses in bulk, in the order
+#: it parses them; None for the embeddings' width, read from the header.
+NUMERIC_TABLES = {
+    "embeddings.csv": None, "spectral.csv": 2, "covariates.csv": 9, "sites.csv": 3,
+    "reference_points.csv": 2,
+}
+
+
+def _pin(mp, calls):
+    """Two cores, every numeric table on the pool in blocks of
+    ``PINNED_BLOCK_CELLS`` cells; ``calls`` gets each pooled table's block
+    count."""
+    count_pools(mp, calls)
     mp.setattr(ingest, "_POOL_CELLS", 1)
-    mp.setattr(ingest, "run_jobs", counting_run_jobs)
+    mp.setattr(ingest, "_PARSE_CELLS", PINNED_BLOCK_CELLS)
+
+
+def _blocks(texts) -> list[int]:
+    """The row blocks of each numeric table of a world, in load order."""
+    counts = []
+    for name, cells in NUMERIC_TABLES.items():
+        header, *rows = texts[name].splitlines()
+        cells = cells or header.count(",") - 1
+        counts.append(-(-len(rows) // max(1, ingest._PARSE_CELLS // cells)))
+    return counts
 
 
 @pytest.fixture
@@ -74,25 +95,15 @@ def pooled(monkeypatch):
     return calls
 
 
-def _in_process(mp):
-    """A pool that fails if it is asked for."""
-    def refuse(*args):
-        raise AssertionError("pool asked for")
-
-    mp.setattr(ingest, "run_jobs", refuse)
-
-
 @pytest.fixture
 def no_pool(monkeypatch):
-    """Two cores, and a pool that fails if it is asked for."""
-    monkeypatch.setattr(pool, "_available_cores", lambda: 2)
-    _in_process(monkeypatch)
+    refuse_pools(monkeypatch)
 
 
 def test_unmutated_world_matches_on_the_pool(base_world, pooled):
     assert_same_outcome(base_world)
-    # embeddings, sites, spectral, covariates and reference_points, two slabs each
-    assert pooled == [2] * 5
+    assert pooled == _blocks(base_world)
+    assert min(pooled) == 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -103,7 +114,7 @@ def test_mutated_worlds_match_the_oracle_on_the_pool(base_world, mutations):
         assert_same_outcome(apply_mutations(base_world, mutations))
 
 
-#: Anomalies a slab must report, so that the whole table is read cell by cell.
+#: Anomalies a block must report, so that the whole table is read cell by cell.
 LAST_ROW_ANOMALIES = {
     "nan": ("cell", "nan"),
     "blank": ("cell", " "),
@@ -115,24 +126,52 @@ LAST_ROW_ANOMALIES = {
 
 @pytest.mark.parametrize("anomaly", sorted(LAST_ROW_ANOMALIES))
 @pytest.mark.parametrize("name", sorted(NUMERIC_COLUMN))
-def test_an_anomaly_in_the_last_slab_falls_back(base_world, pooled, name, anomaly):
+def test_an_anomaly_in_the_last_block_falls_back(base_world, pooled, name, anomaly):
     kind, spelling = LAST_ROW_ANOMALIES[anomaly]
     mutated = apply_mutations(base_world, [(kind, name, -1, NUMERIC_COLUMN[name], spelling)])
     assert_same_outcome(mutated)
-    assert pooled and set(pooled) == {2}
+    # Every table parsed before the load ended went to the pool in full.
+    assert pooled and pooled == _blocks(base_world)[:len(pooled)]
+
+
+def test_one_thread_stops_at_the_first_block_with_an_anomaly(base_world, tmp_path,
+                                                             monkeypatch):
+    monkeypatch.setattr(ingest, "_PARSE_CELLS", 1)  # one row a block
+    parsed = []
+    parse_slab = ingest._parse_slab
+
+    def recording_parse_slab(records, a, *args):
+        parsed.append(a)
+        return parse_slab(records, a, *args)
+
+    monkeypatch.setattr(ingest, "_parse_slab", recording_parse_slab)
+    mutated = apply_mutations(base_world, [("cell", "embeddings.csv", 0, 2, "1_0")])
+    path = tmp_path / "embeddings.csv"
+    path.write_text(mutated["embeddings.csv"], encoding="utf-8")
+    embeddings = ingest.load_embeddings(path, threads=1)
+    assert parsed == [0]
+    # The cell-by-cell path reads the cell as float() does.
+    rid, year = mutated["embeddings.csv"].splitlines()[1].split(",")[:2]
+    assert embeddings[rid, int(year)].values[0] == 10.0
 
 
 def test_one_thread_never_asks_for_the_pool(base_world, tmp_path, no_pool, monkeypatch):
     monkeypatch.setattr(ingest, "_POOL_CELLS", 1)
+    monkeypatch.setattr(ingest, "_PARSE_CELLS", PINNED_BLOCK_CELLS)
     for name, text in base_world.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     _load(tmp_path, threads=1)
 
 
-def test_small_tables_never_ask_for_the_pool(base_world, tmp_path, no_pool):
+def test_small_tables_never_ask_for_the_pool(base_world, tmp_path, no_pool, monkeypatch):
+    monkeypatch.setattr(ingest, "_PARSE_CELLS", PINNED_BLOCK_CELLS)
     for name, text in base_world.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     _load(tmp_path, threads=None)
+
+
+def _texts(world):
+    return {name: (world / name).read_text(encoding="utf-8") for name in NUMERIC_TABLES}
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +188,7 @@ def test_one_and_more_workers_load_identical_bytes(mid_world, pooled, threads):
     assert pooled == []
     dataset = _load(mid_world, threads=threads)[0]
     assert _fingerprint(dataset) == serial
-    assert pooled == [2] * 5
+    assert pooled == _blocks(_texts(mid_world))
     # The loaded vectors are read-only rows of one matrix.
     site = dataset.sites[0]
     assert not site.embeddings[max(site.embeddings)].values.flags.writeable
@@ -188,24 +227,25 @@ def test_commands_write_identical_files_for_any_thread_count(mid_world, pooled, 
         match, mismatch, errors = filecmp.cmpfiles(
             tmp_path / "serial", tmp_path / label, names, shallow=False)
         assert (mismatch, errors) == ([], []), label
-    # Each pooled load parses five numeric tables in two slabs.
-    assert pooled == [2] * 10
+    # Each of the two pooled loads parses five numeric tables in blocks.
+    assert pooled == _blocks(_texts(mid_world)) * 2
 
 
-#: Sub-block budgets: 1-3 rows of the widest tables of the base world
+#: Block budgets: 1-3 rows of the widest tables of the base world
 #: (covariates, 9 cells a row; embeddings, 8), 1-13 rows of the narrowest.
-sub_block_cells = st.integers(1, 27)
+block_cells = st.integers(1, 27)
 
 
 @settings(max_examples=60, deadline=None)
-@given(mutations=st.lists(mutation, min_size=1, max_size=4), cells=sub_block_cells,
+@given(mutations=st.lists(mutation, min_size=1, max_size=4), cells=block_cells,
        on_pool=st.booleans())
-def test_mutated_worlds_match_the_oracle_in_sub_blocks(base_world, mutations, cells, on_pool):
+def test_mutated_worlds_match_the_oracle_at_any_block_size(base_world, mutations, cells,
+                                                           on_pool):
     with pytest.MonkeyPatch.context() as mp:
         if on_pool:
             _pin(mp, [])
         else:
-            _in_process(mp)
+            refuse_pools(mp)
         mp.setattr(ingest, "_PARSE_CELLS", cells)
         assert_same_outcome(apply_mutations(base_world, mutations))
 
@@ -213,14 +253,14 @@ def test_mutated_worlds_match_the_oracle_in_sub_blocks(base_world, mutations, ce
 @pytest.mark.parametrize("on_pool", [False, True], ids=["in_process", "pool"])
 @pytest.mark.parametrize("anomaly", sorted(LAST_ROW_ANOMALIES))
 @pytest.mark.parametrize("name", sorted(NUMERIC_COLUMN))
-def test_an_anomaly_in_the_last_sub_block_falls_back(base_world, monkeypatch, name, anomaly,
-                                                     on_pool):
+def test_an_anomaly_in_a_one_row_block_falls_back(base_world, monkeypatch, name, anomaly,
+                                                   on_pool):
     calls = []
     if on_pool:
         _pin(monkeypatch, calls)
     else:
-        _in_process(monkeypatch)
-    monkeypatch.setattr(ingest, "_PARSE_CELLS", 1)  # one row a sub-block
+        refuse_pools(monkeypatch)
+    monkeypatch.setattr(ingest, "_PARSE_CELLS", 1)  # one row a block
     bulk = {}
     parse_bulk = ingest._Table._parse_bulk
 
@@ -234,4 +274,5 @@ def test_an_anomaly_in_the_last_sub_block_falls_back(base_world, monkeypatch, na
     assert_same_outcome(mutated)
     # Only the mutated table, its anomaly in its last row, went cell by cell.
     assert {table for table, result in bulk.items() if result is None} == {name}
-    assert set(calls) == ({2} if on_pool else set())
+    assert bool(calls) == on_pool
+    assert calls == _blocks(base_world)[:len(calls)]

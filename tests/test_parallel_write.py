@@ -1,10 +1,11 @@
 """Large tables formatted on the worker pool, written in order by the caller.
 
-``csvio.write_csv`` given a worker cap hands contiguous row slabs of a table
-with more than ``_SLAB_CELLS`` cells to ``pool.iter_jobs``; without one it
-formats every row itself. ``_available_cores`` is pinned to 2 and the slab
-size lowered where a test needs the pool, so the forked path runs on any
-machine and on small worlds; the bytes must not depend on it.
+``csvio.write_csv`` given a worker cap hands contiguous row slabs of
+``_SLAB_CELLS`` cells to ``pool.iter_jobs``, which starts a pool for two
+slabs or more; without one it formats every row itself. ``_available_cores``
+is pinned to 2 and the slab size lowered where a test needs the pool, so the
+forked path runs on any machine and on small worlds; the bytes must not
+depend on it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import count_pools, refuse_pools
 from regrow import csvio, pool
 from regrow.cli import main
 from regrow.errors import InvalidValueError
@@ -36,26 +38,16 @@ def run(args):
 def pool_jobs(monkeypatch):
     """Two cores, one-cell slabs; yields the slab count of each pooled table."""
     calls = []
-
-    def counting_iter_jobs(fn, jobs, threads):
-        calls.append(len(jobs))
-        return pool.iter_jobs(fn, jobs, threads)
-
-    monkeypatch.setattr(pool, "_available_cores", lambda: 2)
+    count_pools(monkeypatch, calls)
     monkeypatch.setattr(csvio, "_SLAB_CELLS", 1)
-    monkeypatch.setattr(csvio, "iter_jobs", counting_iter_jobs)
     return calls
 
 
 @pytest.fixture
 def no_pool(monkeypatch):
-    """Two cores, one-cell slabs, and a pool that fails if it is asked for."""
-    def refuse(*args):
-        raise AssertionError("pool asked for")
-
-    monkeypatch.setattr(pool, "_available_cores", lambda: 2)
+    """Two cores, one-cell slabs, and a pool that fails if it is started."""
+    refuse_pools(monkeypatch)
     monkeypatch.setattr(csvio, "_SLAB_CELLS", 1)
-    monkeypatch.setattr(csvio, "iter_jobs", refuse)
 
 
 def _read_all(directory, names):
@@ -92,14 +84,14 @@ class TestWriteCsv:
         csvio.write_csv(tmp_path / "t.csv", self.HEADER, rows)
 
     def test_table_of_one_slab_stays_in_process(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(pool, "_available_cores", lambda: 2)
-        monkeypatch.setattr(csvio, "iter_jobs", None)  # any pool call would fail
+        refuse_pools(monkeypatch)
         csvio.write_csv(tmp_path / "t.csv", ["a"], [(1.0,)] * csvio._SLAB_CELLS, threads=None)
         assert (tmp_path / "t.csv").read_text() == "a\n" + "1.0\n" * csvio._SLAB_CELLS
 
     def test_threads_below_one_is_invalid(self, tmp_path):
         with pytest.raises(InvalidValueError, match="threads"):
             csvio.write_csv(tmp_path / "t.csv", ["a"], [(1,)], threads=0)
+        assert not (tmp_path / "t.csv").exists()
 
     def test_small_write_leaves_multiprocessing_unloaded(self, tmp_path):
         code = (
@@ -172,15 +164,19 @@ class TestIterJobs:
             raise ValueError(f"job {i}")
         return i * i
 
+    @pytest.mark.parametrize("order", [None, range(6, -1, -1)], ids=["job_order", "reversed"])
     @pytest.mark.parametrize("cores", [1, 2])
-    def test_results_in_job_order_and_the_first_error_at_its_turn(self, monkeypatch, cores):
+    def test_results_in_job_order_and_the_first_error_at_its_turn(self, monkeypatch, cores,
+                                                                  order):
         monkeypatch.setattr(pool, "_available_cores", lambda: cores)
         got = []
         with pytest.raises(ValueError, match="job 3"):
-            for result in pool.iter_jobs(self.square, self.JOBS, None):
+            for result in pool.iter_jobs(self.square, self.JOBS, None, order):
                 got.append(result)
         assert got == [0, 1, 4]
 
     def test_threads_below_one_is_invalid(self):
+        ran = []
         with pytest.raises(InvalidValueError, match="threads"):
-            next(pool.iter_jobs(self.square, self.JOBS, 0))
+            pool.iter_jobs(ran.append, self.JOBS, 0)
+        assert ran == []

@@ -102,10 +102,14 @@ class TestProject:
             project(model, vec(1.0, 2.0))
 
 
+def _secondary_embeddings(refset):
+    return [refset.secondary_embedding(p.point_id) for p in refset.secondary_points]
+
+
 class TestTrajectoryPaths:
     def test_constant_point_projects_identically(self, small_refset, small_refs):
-        model = fit_projection([p.embedding for p in small_refset.secondary_points])
-        e = small_refset.secondary_points[0].embedding
+        model = fit_projection(_secondary_embeddings(small_refset))
+        e = small_refset.secondary_embedding(small_refset.secondary_points[0].point_id)
         site = make_site(embeddings={2020: e, 2021: e, 2022: e})
         rows = trajectory_paths_2d([site], model)
         assert len(rows) == 3
@@ -113,7 +117,7 @@ class TestTrajectoryPaths:
 
     def test_rows_sorted_by_id_year(self, small_world, small_refset):
         dataset, _ = small_world
-        model = fit_projection([p.embedding for p in small_refset.secondary_points])
+        model = fit_projection(_secondary_embeddings(small_refset))
         rows = trajectory_paths_2d(list(dataset.sites[:3]), model)
         assert rows == sorted(rows, key=lambda r: (r[0], r[1]))
 

@@ -179,16 +179,16 @@ class TestFindLocalReference:
     def test_lookups_ignore_point_order(self):
         # Built by hand, so the points are not sorted by id.
         points = (
-            SecondaryPoint("c", 1.0, 1.5, vec(0.0, 1.0)),
-            SecondaryPoint("b", 1.0, 1.0, vec(1.0, 1.0)),
-            SecondaryPoint("a", 1.0, 1.0, vec(1.0, 0.0)),
+            SecondaryPoint("c", 1.0, 1.5),
+            SecondaryPoint("b", 1.0, 1.0),
+            SecondaryPoint("a", 1.0, 1.0),
         )
         refset = ReferenceSet(
             policy=ReferenceYearPolicy.fixed(),
             secondary_points=points,
             tables={2024: ReferenceTable(
                 centroids={SECONDARY_FOREST: vec(1.0, 0.0)},
-                secondary={p.point_id: p.embedding for p in points},
+                secondary={"c": vec(0.0, 1.0), "b": vec(1.0, 1.0), "a": vec(1.0, 0.0)},
             )},
         )
         site = make_site(embeddings={2020: vec(1.0, 0.0)}, centroid_lon=1.0, centroid_lat=1.0)

@@ -302,7 +302,7 @@ class TestFindLocalReference:
         refset = ReferenceSet(
             policy=ReferenceYearPolicy.fixed(),
             secondary_points=tuple(
-                SecondaryPoint(pid, float(lon), float(lat), EmbeddingVector(np.ones(2)))
+                SecondaryPoint(pid, float(lon), float(lat))
                 for pid, (lon, lat) in zip(ids, coords)
             ),
             tables={},
