@@ -221,7 +221,13 @@ _SYNTH_RULES = (
 
 def _config_lines(path: str | Path):
     """(key, value text, 1-based line) of each setting in a config file."""
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InvalidValueError(f"not UTF-8 ({exc.reason})", file=str(path), line=line) from None
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

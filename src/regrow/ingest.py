@@ -28,9 +28,9 @@ matrix, ``_PARSE_CELLS`` cells of rows at a time: each such row block is
 one job of ``pool.iter_jobs``. A table of more than ``_POOL_CELLS`` numeric
 cells runs its blocks on the worker pool (``threads`` caps it, as
 everywhere), each worker writing its blocks' rows of one shared matrix; a
-smaller table parses its blocks here. Beyond the file's text, the matrix and
-the rows' other fields, a parse holds one block of text and values (~2 MB)
-per worker, never the table's numeric text again. If a block meets anything
+smaller table parses its blocks here. Beyond the file's text and the matrix,
+a parse holds one block of text and values (~2 MB) per worker, never the
+table's numeric text again. If a block meets anything
 unusual (a quoted file, a wrong field count, a cell numpy cannot read,
 blanks in a cell, a non-finite value) the parse stops and the table is
 parsed again cell by cell, which raises at the right line or accepts what
@@ -246,31 +246,30 @@ class _Table:
         MissingColumnError. ``cells`` is a read-only float64 row of one
         matrix when the bulk parse of the whole table succeeded, else the
         text of each cell, which ``_floats`` parses in the loader's order of
-        checks. ``threads`` caps the workers of the bulk parse.
+        checks. A bulk-parsed row's other fields are cut from its text as it
+        is yielded. ``threads`` caps the workers of the bulk parse.
         """
-        bulk = self._parse_bulk(first, count, width, threads) if count else None
-        if bulk is not None:
-            fields, matrix = bulk
-            for (line, other), cells in zip(fields, matrix):
-                self.line = line
-                yield line, other, cells
-        else:
-            for line, rec in self._records:
-                self.line = line
-                row = rec.split(",") if isinstance(rec, str) else rec
-                if (len(row) != width) if exact else (len(row) < width):
-                    raise MissingColumnError(f"expected {width} fields, got {len(row)}", line=line)
-                yield line, row[:first] + row[first + count:], row[first:first + count]
+        matrix = self._parse_bulk(first, count, width, threads) if count else None
+        tail = width - first - count
+        for i, (line, rec) in enumerate(self._records):
+            self.line = line
+            if matrix is not None:  # the row has exactly ``width`` fields
+                yield line, rec.split(",", first)[:first] + rec.rsplit(",", tail)[1:], matrix[i]
+                continue
+            row = rec.split(",") if isinstance(rec, str) else rec
+            if (len(row) != width) if exact else (len(row) < width):
+                raise MissingColumnError(f"expected {width} fields, got {len(row)}", line=line)
+            yield line, row[:first] + row[first + count:], row[first:first + count]
         self.line = None
 
     def _parse_bulk(self, first: int, count: int, width: int, threads: int | None):
-        """Parse the numeric cells of every row in bulk, or None on any anomaly.
+        """The numeric cells of every row parsed in bulk into a read-only
+        (rows, count) matrix, or None on any anomaly.
 
-        Returns ([(line, other fields), ...], read-only (rows, count) matrix).
         The rows are cut into blocks of ``_PARSE_CELLS`` cells, one job each
-        (see ``_parse_slab``). A table of more than ``_POOL_CELLS`` cells
+        (see ``_parse_block``). A table of more than ``_POOL_CELLS`` cells
         hands them to the pool: its matrix is an anonymous mapping made
-        before the workers fork, so only each block's other fields come back
+        before the workers fork, so only each block's flag comes back
         through a pipe. The first block with an anomaly ends the parse, and
         the table goes cell by cell.
         """
@@ -286,49 +285,36 @@ class _Table:
         step = max(1, _PARSE_CELLS // count)
         blocks = [(self._records, a, min(a + step, n), first, count, width, matrix)
                   for a in range(0, n, step)]
-        fields = []
-        for part in iter_jobs(_parse_slab, blocks, threads):
-            if part is None:
-                return None
-            fields += part
+        if not all(iter_jobs(_parse_block, blocks, threads)):
+            return None
         matrix.flags.writeable = False
-        return fields, matrix
+        return matrix
 
 
-def _parse_slab(records, a: int, b: int, first: int, count: int, width: int, out: np.ndarray):
+def _parse_block(records, a: int, b: int, first: int, count: int, width: int, out) -> bool:
     """Parse the numeric cells of the block ``records[a:b]`` into ``out[a:b]``.
 
-    Returns the block's [(line, other fields), ...], or None on an anomaly:
-    a row without exactly ``width`` fields, a cell numpy cannot parse or
-    that holds blanks, or a non-finite value.
+    Returns whether the block was clean: False on an anomaly, a row without
+    exactly ``width`` fields, a cell numpy cannot parse or that holds
+    blanks, or a non-finite value.
     """
-    n_after = width - first - count
-    fields = []
-    cells = []
-    for line, rec in records[a:b]:
-        if rec.count(",") != width - 1:
-            return None
-        other = rec.split(",", first)
-        text = other.pop()
-        if n_after:
-            tail = text.rsplit(",", n_after)
-            text = tail.pop(0)
-            other += tail
-        fields.append((line, other))
-        cells.append(text)
-    joined = ",".join(cells)
+    block = records[a:b]
+    if any(rec.count(",") != width - 1 for _, rec in block):
+        return False
+    tail = width - first - count
+    joined = ",".join(rec.split(",", first)[first].rsplit(",", tail)[0] for _, rec in block)
     # numpy, like float(), skips blanks around a number, but it reads a
     # blank cell as -1; cells with blanks are left to the cell-by-cell path.
     if any(blank in joined for blank in " \t\v\f"):
-        return None
+        return False
     try:
         values = np.fromstring(joined, sep=",")
     except ValueError:
-        return None
+        return False
     if values.size != (b - a) * count or not np.isfinite(values).all():
-        return None
+        return False
     out[a:b] = values.reshape(b - a, count)
-    return fields
+    return True
 
 
 def _clip(text: str) -> str:
@@ -379,6 +365,24 @@ def load_lulc_codes(path: str | Path) -> LULCCodeMap:
         return LULCCodeMap(entries)
 
 
+def _load_keyed(table: _Table, what: str, width: int, make, *, exact: bool = True,
+                threads: int | None = None) -> dict:
+    """``make(cells, line)`` of each row of an ``id,year,...`` table, keyed by
+    (id, year); ``cells`` are the row's numeric columns 2 to ``width``. A
+    repeated key or an InvalidValueError is an error at the row's line."""
+    out = {}
+    for line, (rid, year, *_), cells in table.rows(2, width - 2, width, exact=exact,
+                                                   threads=threads):
+        key = (rid, _parse_int(year, "year", line))
+        if key in out:
+            raise DuplicateKeyError(f"duplicate {what} key {key}", line=line)
+        try:
+            out[key] = make(cells, line)
+        except InvalidValueError as exc:
+            raise CsvParseError(str(exc), line=line) from None
+    return out
+
+
 def load_embeddings(
     path: str | Path, *, threads: int | None = None,
 ) -> dict[tuple[str, int], EmbeddingVector]:
@@ -398,17 +402,13 @@ def load_embeddings(
         if bad:
             raise MissingColumnError(f"non-embedding columns after id,year: {bad}")
         dim = len(header) - 2
-        names = ["embedding value"] * dim
-        out: dict[tuple[str, int], EmbeddingVector] = {}
-        for line, (rid, year), cells in table.rows(2, dim, len(header), threads=threads):
-            key = (rid, _parse_int(year, "year", line))
-            if key in out:
-                raise DuplicateKeyError(f"duplicate embedding key {key}", line=line)
+
+        def make(cells, line):
             if isinstance(cells, np.ndarray):
-                out[key] = EmbeddingVector._trusted(cells)
-            else:
-                out[key] = validate_embedding(_floats(cells, names, line), dim)
-    return out
+                return EmbeddingVector._trusted(cells)
+            return validate_embedding(_floats(cells, ["embedding value"] * dim, line), dim)
+
+        return _load_keyed(table, "embedding", len(header), make, threads=threads)
 
 
 def _load_spectral(
@@ -417,17 +417,11 @@ def _load_spectral(
     with _Table(path) as table:
         if table.header[:4] != ["id", "year", "ndvi", "evi"]:
             raise _bad_header("id,year,ndvi,evi", table.header)
-        out: dict[tuple[str, int], SpectralIndices] = {}
-        for line, (rid, year, *_), cells in table.rows(2, 2, 4, exact=False, threads=threads):
-            key = (rid, _parse_int(year, "year", line))
-            if key in out:
-                raise DuplicateKeyError(f"duplicate spectral key {key}", line=line)
-            ndvi, evi = _floats(cells, ("ndvi", "evi"), line)
-            try:
-                out[key] = SpectralIndices(ndvi=ndvi, evi=evi)
-            except InvalidValueError as exc:
-                raise CsvParseError(str(exc), line=line) from None
-    return out
+
+        def make(cells, line):
+            return SpectralIndices(*_floats(cells, ("ndvi", "evi"), line))
+
+        return _load_keyed(table, "spectral", 4, make, exact=False, threads=threads)
 
 
 def _load_covariates(
@@ -437,17 +431,21 @@ def _load_covariates(
         expected = ["id", "year", *CovariateSet.FIELD_NAMES]
         if table.header != expected:
             raise _bad_header(expected, table.header)
-        out: dict[tuple[str, int], CovariateSet] = {}
-        rows = table.rows(2, len(CovariateSet.FIELD_NAMES), len(expected), threads=threads)
-        for line, (rid, year), cells in rows:
-            key = (rid, _parse_int(year, "year", line))
-            if key in out:
-                raise DuplicateKeyError(f"duplicate covariate key {key}", line=line)
-            values = _floats(cells, CovariateSet.FIELD_NAMES, line)
-            try:
-                out[key] = CovariateSet(*values)
-            except InvalidValueError as exc:
-                raise CsvParseError(str(exc), line=line) from None
+
+        def make(cells, line):
+            return CovariateSet(*_floats(cells, CovariateSet.FIELD_NAMES, line))
+
+        return _load_keyed(table, "covariate", len(expected), make, threads=threads)
+
+
+def _by_id(table: Mapping[tuple[str, int], object], window: tuple[int, int]) -> dict:
+    """``{id: {year: value}}`` of an (id, year)-keyed table, years in ``window`` only."""
+    # Regrouped up front, a join is linear; scanning the table per id is quadratic.
+    first, last = window
+    out: dict = {}
+    for (rid, year), value in table.items():
+        if first <= year <= last:
+            out.setdefault(rid, {})[year] = value
     return out
 
 
@@ -474,20 +472,9 @@ def load_sites(
             raise _bad_header(expected, table.header)
         spectral = _load_spectral(spectral_path, threads) if spectral_path else {}
         covariates = _load_covariates(covariates_path, threads) if covariates_path else {}
-
-        # Regroup per-year tables by id up front; scanning per site is quadratic.
-        emb_by_id: dict[str, dict[int, EmbeddingVector]] = {}
-        first, last = window
-        for (rid, year), vec in embeddings.items():
-            emb_by_id.setdefault(rid, {})[year] = vec
-        spec_by_id: dict[str, dict[int, SpectralIndices]] = {}
-        for (rid, year), val in spectral.items():
-            if first <= year <= last:
-                spec_by_id.setdefault(rid, {})[year] = val
-        cov_by_id: dict[str, dict[int, CovariateSet]] = {}
-        for (rid, year), val in covariates.items():
-            if first <= year <= last:
-                cov_by_id.setdefault(rid, {})[year] = val
+        emb_by_id = _by_id(embeddings, window)
+        spec_by_id = _by_id(spectral, window)
+        cov_by_id = _by_id(covariates, window)
 
         sites: list[SiteRecord] = []
         no_embeddings: list[str] = []
@@ -505,9 +492,7 @@ def load_sites(
             for name, text in (*zip(numeric, cells), ("start_year", start_year)):
                 if isinstance(text, str) and not text.strip():
                     raise MissingMetadataFieldError(f"missing {name} for {site_id}", line=line)
-            site_embeddings = {
-                y: v for y, v in emb_by_id.get(site_id, {}).items() if first <= y <= last
-            }
+            site_embeddings = emb_by_id.get(site_id, {})
             if not site_embeddings:
                 no_embeddings.append(site_id)
                 continue
@@ -565,17 +550,14 @@ def load_reference_points(
         for idx, name in enumerate(header[3:], start=1):
             if not name.startswith("lulc_"):
                 raise MissingColumnError(f"unexpected column {_clip(name)!r}")
-            year_cols[_parse_int(name[len("lulc_"):], f"year in column {_clip(name)!r}", 1)] = idx
+            year = _parse_int(name[len("lulc_"):], f"year in column {_clip(name)!r}", 1)
+            if year_cols.setdefault(year, idx) != idx:
+                raise DuplicateKeyError(f"duplicate column for year {year}: {_clip(name)!r}")
         for year in range(lulc_years[0], lulc_years[1] + 1):
             if year not in year_cols:
                 raise MissingYearColumnError(f"missing column lulc_{year}")
 
-        emb_by_id: dict[str, dict[int, EmbeddingVector]] = {}
-        first, last = window
-        for (rid, year), vec in embeddings.items():
-            if first <= year <= last:
-                emb_by_id.setdefault(rid, {})[year] = vec
-
+        emb_by_id = _by_id(embeddings, window)
         points: list[ReferencePoint] = []
         seen: set[str] = set()
         unmapped: Counter[int] = Counter()  # unknown code -> cells

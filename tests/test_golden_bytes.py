@@ -135,9 +135,9 @@ def record() -> dict:
 
 
 #: The jobs of every pool each pinned run started: synth formats its tables
-#: (``_format_rows``), ingest parses row blocks (``_parse_slab``) and
+#: (``_format_rows``), ingest parses row blocks (``_parse_block``) and
 #: predict fits its folds (``_fit_predict``).
-POOLED = ("_format_rows", "_parse_slab", "_fit_predict")
+POOLED = ("_format_rows", "_parse_block", "_fit_predict")
 
 
 @pytest.fixture(scope="module")

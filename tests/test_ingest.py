@@ -133,6 +133,15 @@ class TestLoadReferencePoints:
             load_reference_points(path, {}, lulc_years=(2015, 2015))
         assert (err.value.file, err.value.line) == (str(path), 1)
 
+    @pytest.mark.parametrize("second", ["lulc_2024", "lulc_02024"])
+    def test_duplicate_year_column_is_a_located_duplicate_key(self, tmp_path, second):
+        years = range(2015, 2025)
+        path = reference_csv(tmp_path, [*years, second[len("lulc_"):]],
+                             ["p1,-47.0,-22.0," + ",".join("1" for _ in years) + ",9"])
+        with pytest.raises(DuplicateKeyError, match="2024") as err:
+            load_reference_points(path, {}, lulc_years=(2015, 2024))
+        assert (err.value.file, err.value.line) == (str(path), 1)
+
     def test_unmapped_code_becomes_other(self, tmp_path, caplog):
         years = range(2015, 2025)
         path = reference_csv(tmp_path, years, ["p1,-47.0,-22.0," + ",".join("99" for _ in years)])

@@ -532,6 +532,20 @@ def test_each_spelling_in_each_numeric_table(base_world, name, spelling):
     assert_same_outcome(apply_mutations(base_world, [mutation]))
 
 
+#: Text cells after a table's numeric columns, which the bulk path cuts from
+#: a row's text, as (table, column). synth leaves none of them empty.
+TRAILING_TEXT = {
+    "strategy": ("sites.csv", 5), "start_lulc": ("sites.csv", 6),
+    "last_lulc": ("reference_points.csv", -1),
+}
+
+
+@pytest.mark.parametrize("field", sorted(TRAILING_TEXT))
+def test_an_empty_text_cell_after_the_numeric_columns(base_world, field):
+    name, column = TRAILING_TEXT[field]
+    assert_same_outcome(apply_mutations(base_world, [("cell", name, -1, column, "")]))
+
+
 @pytest.mark.parametrize("row", [3, -1])
 @pytest.mark.parametrize(
     "kind", ["quote", "drop", "extra", "duplicate", "blank", "shuffle", "crlf", "cr",

@@ -29,6 +29,7 @@ from regrow.synthetic import SynthConfig, generate_world, write_world
 from test_ingest_oracle import (
     FILES,
     NUMERIC_COLUMN,
+    TRAILING_TEXT,
     _fingerprint,
     apply_mutations,
     assert_same_outcome,
@@ -106,6 +107,14 @@ def test_unmutated_world_matches_on_the_pool(base_world, pooled):
     assert min(pooled) == 2
 
 
+@pytest.mark.parametrize("field", sorted(TRAILING_TEXT))
+def test_an_empty_text_cell_after_the_numeric_columns_on_the_pool(base_world, pooled, field):
+    name, column = TRAILING_TEXT[field]
+    assert_same_outcome(apply_mutations(base_world, [("cell", name, -1, column, "")]))
+    # Every table parsed in bulk: the empty cell was cut from a bulk-parsed row.
+    assert pooled == _blocks(base_world)
+
+
 @settings(max_examples=60, deadline=None)
 @given(mutations=st.lists(mutation, min_size=1, max_size=4))
 def test_mutated_worlds_match_the_oracle_on_the_pool(base_world, mutations):
@@ -138,13 +147,13 @@ def test_one_thread_stops_at_the_first_block_with_an_anomaly(base_world, tmp_pat
                                                              monkeypatch):
     monkeypatch.setattr(ingest, "_PARSE_CELLS", 1)  # one row a block
     parsed = []
-    parse_slab = ingest._parse_slab
+    parse_block = ingest._parse_block
 
-    def recording_parse_slab(records, a, *args):
+    def recording_parse_block(records, a, *args):
         parsed.append(a)
-        return parse_slab(records, a, *args)
+        return parse_block(records, a, *args)
 
-    monkeypatch.setattr(ingest, "_parse_slab", recording_parse_slab)
+    monkeypatch.setattr(ingest, "_parse_block", recording_parse_block)
     mutated = apply_mutations(base_world, [("cell", "embeddings.csv", 0, 2, "1_0")])
     path = tmp_path / "embeddings.csv"
     path.write_text(mutated["embeddings.csv"], encoding="utf-8")

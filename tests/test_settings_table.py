@@ -94,6 +94,16 @@ class TestProbes:
         assert key in record["message"]
         _assert_no_outputs(out)
 
+    def test_config_file_not_utf8_is_located(self, world_dir, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed = 1\nmin_area_ha = 1\xff\n")
+        out = tmp_path / "out"
+        assert run(["validate", "--inputs-dir", world_dir, "--output-dir", out,
+                    "--config", cfg]) == 1
+        record = _record(capsys)
+        assert (record["error"], record["file"], record["line"]) == ("invalid_value", str(cfg), 2)
+        _assert_no_outputs(out)
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_stable_window_of_no_years_is_located(self, world_dir, tmp_path, capsys, value):
         cfg = tmp_path / "run.cfg"
