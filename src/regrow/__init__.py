@@ -17,13 +17,15 @@ from .core import (
     Stability,
     StabilityKind,
     Strategy,
+    YearMap,
     cosine_similarities,
     cosine_similarity,
     parse_strategy,
     validate_embedding,
 )
 from .cluster import FoldAssignment, KMeansResult, kmeans, spatial_kfold
-from .ingest import Dataset, FilterReport, filter_sites, load_dataset, load_embeddings
+from .ingest import (Dataset, FilterReport, YearTable, filter_sites, load_dataset,
+                     load_embeddings)
 from .prediction import FeatureSet, ModelKind, PredictionTaskResult, Task, evaluate
 from .projection import ProjectionModel, fit_projection, project, silhouette_score
 from .references import (

@@ -2,14 +2,17 @@
 
 All types are immutable value objects: invariants are checked at
 construction time and instances are safe to share between threads.
-Per-year maps are stored sorted by year so iteration order (and therefore
-any reduction over them) is deterministic.
+Per-year maps are read-only ``YearMap``s: one matrix row per year, sorted
+by year, so iteration order (and therefore any reduction over them) is
+deterministic.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from enum import Enum
+from types import SimpleNamespace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -55,23 +58,30 @@ class EmbeddingVector:
             raise WrongDimensionError(
                 f"embedding must be a non-empty 1-D vector, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not self.rows_pass(arr):
             raise NonFiniteError("embedding contains NaN or Inf")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
+    @staticmethod
+    def rows_pass(matrix: np.ndarray) -> bool:
+        """Whether every entry is finite, the one rule of an embedding."""
+        return bool(np.isfinite(matrix).all())
+
     @classmethod
     def _trusted(cls, row: np.ndarray) -> "EmbeddingVector":
         """Wrap ``row`` without copying or checking it.
 
-        For ingest and the synthetic generator only: ``row`` is a read-only
-        1-D float64 view of a matrix whose shape and finiteness the caller
-        checked once as a whole.
+        For ``YearMap`` only: ``row`` is a read-only 1-D float64 view of a
+        matrix whose shape and finiteness were checked once as a whole.
         """
         vec = object.__new__(cls)
         object.__setattr__(vec, "values", row)
         return vec
+
+    def as_array(self) -> np.ndarray:
+        return self.values
 
     @property
     def dim(self) -> int:
@@ -258,8 +268,42 @@ def parse_strategy(text: str) -> Strategy:
         raise UnknownStrategyError(f"unknown restoration strategy: {text!r}") from None
 
 
+class _Fields:
+    """A row of named floats, ``FIELD_NAMES`` in declared order (the column
+    order of every table and feature block), that ``RULES`` constrain.
+
+    A rule is (message, predicate). A predicate reads the fields as
+    attributes, with ``&`` for "and", so it checks one value at construction
+    and, in ``rows_pass``, every row of a table's matrix at once.
+    """
+
+    def __init_subclass__(cls):
+        cls.FIELD_NAMES = tuple(cls.__annotations__)
+
+    def __post_init__(self):
+        for message, ok in self.RULES:
+            if not ok(self):
+                raise InvalidValueError(message.format(**vars(self)))
+
+    @classmethod
+    def rows_pass(cls, matrix: np.ndarray) -> bool:
+        """Whether every row of ``matrix`` keeps every rule."""
+        columns = SimpleNamespace(**dict(zip(cls.FIELD_NAMES, matrix.T)))
+        return all(np.all(ok(columns)) for _, ok in cls.RULES)
+
+    @classmethod
+    def _trusted(cls, row: np.ndarray):
+        """A value of ``row``'s fields as Python floats, not checked again (see ``YearMap``)."""
+        value = object.__new__(cls)
+        value.__dict__.update(zip(cls.FIELD_NAMES, row.tolist()))
+        return value
+
+    def as_array(self) -> np.ndarray:
+        return np.array([getattr(self, f) for f in self.FIELD_NAMES], dtype=np.float64)
+
+
 @dataclass(frozen=True)
-class CovariateSet:
+class CovariateSet(_Fields):
     """Environmental covariates for one site and year."""
 
     precip_mm: float
@@ -272,51 +316,79 @@ class CovariateSet:
     forest_cover_2km: float
     road_density_5km: float
 
-    #: Field order used everywhere a covariate feature block is built.
-    FIELD_NAMES = (
-        "precip_mm",
-        "tmin_c",
-        "tmax_c",
-        "et_mm",
-        "elevation_m",
-        "slope_deg",
-        "aspect_deg",
-        "forest_cover_2km",
-        "road_density_5km",
+    RULES = (
+        ("precip_mm must be >= 0", lambda c: c.precip_mm >= 0),
+        ("et_mm must be >= 0", lambda c: c.et_mm >= 0),
+        ("tmin_c must be <= tmax_c", lambda c: c.tmin_c <= c.tmax_c),
+        ("slope_deg must be in [0, 90]", lambda c: (0 <= c.slope_deg) & (c.slope_deg <= 90)),
+        ("aspect_deg must be in [0, 360)", lambda c: (0 <= c.aspect_deg) & (c.aspect_deg < 360)),
+        ("forest_cover_2km must be in [0, 1]",
+         lambda c: (0 <= c.forest_cover_2km) & (c.forest_cover_2km <= 1)),
+        ("road_density_5km must be >= 0", lambda c: c.road_density_5km >= 0),
     )
-
-    def __post_init__(self):
-        checks = [
-            (self.precip_mm >= 0, "precip_mm must be >= 0"),
-            (self.et_mm >= 0, "et_mm must be >= 0"),
-            (self.tmin_c <= self.tmax_c, "tmin_c must be <= tmax_c"),
-            (0 <= self.slope_deg <= 90, "slope_deg must be in [0, 90]"),
-            (0 <= self.aspect_deg < 360, "aspect_deg must be in [0, 360)"),
-            (0 <= self.forest_cover_2km <= 1, "forest_cover_2km must be in [0, 1]"),
-            (self.road_density_5km >= 0, "road_density_5km must be >= 0"),
-        ]
-        for ok, msg in checks:
-            if not ok:
-                raise InvalidValueError(msg)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, f) for f in self.FIELD_NAMES], dtype=np.float64)
 
 
 @dataclass(frozen=True)
-class SpectralIndices:
+class SpectralIndices(_Fields):
     """Annual NDVI/EVI composite values for one site and year."""
 
     ndvi: float
     evi: float
 
-    def __post_init__(self):
-        if not -1.0 <= self.ndvi <= 1.0:
-            raise InvalidValueError(f"ndvi must be in [-1, 1], got {self.ndvi}")
+    RULES = (("ndvi must be in [-1, 1], got {ndvi}", lambda s: (-1.0 <= s.ndvi) & (s.ndvi <= 1.0)),)
 
 
-def _sorted_year_map(mapping: Mapping[int, object]) -> dict:
-    return {int(y): mapping[y] for y in sorted(mapping)}
+def stack_rows(rows: Sequence) -> np.ndarray:
+    """``rows`` as one read-only float64 matrix; (0, 0) when there are none."""
+    matrix = np.array(rows, dtype=np.float64) if len(rows) else np.empty((0, 0))
+    matrix.flags.writeable = False
+    return matrix
+
+
+class YearMap(Mapping):
+    """A read-only ``{year: value}`` map: ``years``, a sorted tuple, and
+    ``matrix``, their read-only C-contiguous float64 rows, often a view of a
+    whole table. ``kind`` (EmbeddingVector, SpectralIndices or CovariateSet)
+    wraps a row, checked with the whole matrix, only when it is read.
+    """
+
+    __slots__ = ("years", "matrix", "kind")
+
+    def __init__(self, years: tuple[int, ...], matrix: np.ndarray, kind: type):
+        self.years, self.matrix, self.kind = years, matrix, kind
+
+    @classmethod
+    def from_mapping(cls, mapping: Mapping, kind: type) -> "YearMap":
+        """``mapping`` itself if it is a YearMap, else its values' rows sorted by year."""
+        if isinstance(mapping, YearMap):
+            return mapping
+        years = sorted(mapping)
+        return cls(tuple(map(int, years)), stack_rows([mapping[y].as_array() for y in years]), kind)
+
+    def row(self, year: int) -> np.ndarray:
+        """The matrix row of ``year``; KeyError if there is none."""
+        if year not in self.years:
+            raise KeyError(year)
+        return self.matrix[self.years.index(year)]
+
+    def __getitem__(self, year: int):
+        return self.kind._trusted(self.row(year))
+
+    def __contains__(self, year) -> bool:
+        return year in self.years
+
+    def __iter__(self):
+        return iter(self.years)
+
+    def __len__(self) -> int:
+        return len(self.years)
+
+    def __repr__(self) -> str:
+        return f"YearMap({self.kind.__name__}, years={self.years})"
+
+
+_YEAR_MAPS = (("embeddings", EmbeddingVector), ("spectral", SpectralIndices),
+              ("covariates", CovariateSet))
 
 
 @dataclass(frozen=True)
@@ -347,8 +419,8 @@ class SiteRecord:
             raise InvalidValueError(f"area_ha must be > 0, got {self.area_ha}")
         if not isinstance(self.strategy, Strategy):
             raise InvalidValueError("strategy must be a Strategy value")
-        for name in ("embeddings", "spectral", "covariates"):
-            object.__setattr__(self, name, _sorted_year_map(getattr(self, name)))
+        for name, kind in _YEAR_MAPS:
+            object.__setattr__(self, name, YearMap.from_mapping(getattr(self, name), kind))
 
     def embedding_years(self) -> tuple[int, ...]:
         return tuple(self.embeddings)
@@ -372,24 +444,21 @@ class ReferencePoint:
         if not self.point_id:
             raise InvalidValueError("point_id must be non-empty")
         _check_coordinates(self.lon, self.lat)
-        series = _sorted_year_map(self.lulc_series)
+        series = {int(y): self.lulc_series[y] for y in sorted(self.lulc_series)}
         years = list(series)
         if years and years != list(range(years[0], years[-1] + 1)):
             raise InvalidValueError(
                 f"lulc_series must cover a contiguous year range, got {years}"
             )
         object.__setattr__(self, "lulc_series", series)
-        object.__setattr__(self, "embeddings", _sorted_year_map(self.embeddings))
+        embeddings = YearMap.from_mapping(self.embeddings, EmbeddingVector)
+        object.__setattr__(self, "embeddings", embeddings)
 
     def with_stability(self, stability: Stability) -> "ReferencePoint":
-        return ReferencePoint(
-            point_id=self.point_id,
-            lon=self.lon,
-            lat=self.lat,
-            lulc_series=self.lulc_series,
-            embeddings=self.embeddings,
-            stability=stability,
-        )
+        """This point with ``stability``; its maps, already checked, are shared as they are."""
+        point = copy.copy(self)
+        object.__setattr__(point, "stability", stability)
+        return point
 
 
 def _check_coordinates(lon: float, lat: float):

@@ -24,19 +24,22 @@ Parse contract:
 
 Each file is read once. A table's numeric columns are parsed in bulk by
 ``np.fromstring``, which rounds as ``float()`` does, into one read-only
-matrix, ``_PARSE_CELLS`` cells of rows at a time: each such row block is
-one job of ``pool.iter_jobs``. A table of more than ``_POOL_CELLS`` numeric
-cells runs its blocks on the worker pool (``threads`` caps it, as
-everywhere), each worker writing its blocks' rows of one shared matrix; a
-smaller table parses its blocks here. Beyond the file's text and the matrix,
-a parse holds one block of text and values (~2 MB) per worker, never the
-table's numeric text again. If a block meets anything
-unusual (a quoted file, a wrong field count, a cell numpy cannot read,
-blanks in a cell, a non-finite value) the parse stops and the table is
-parsed again cell by cell, which raises at the right line or accepts what
-``float()`` accepts and numpy does not, such as ``1_0``. Files that
-``regrow synth`` writes never take that path. The matrix does not depend on
-the number of workers.
+matrix, ``_PARSE_CELLS`` cells of rows at a time: each such row block is one
+job of ``pool.iter_jobs``, on the worker pool for a table of more than
+``_POOL_CELLS`` cells (``threads`` caps it, as everywhere), each worker
+writing its rows of one shared matrix. Beyond the file's text and the
+matrix, a parse holds one block of text and values (~2 MB) per worker. The
+three ``id,year,...`` tables are read keys first: one pass cuts each
+record's id and year from its head, and their sort gives each record its
+row of the matrix, so the rows come out in (id, year) order and each id's
+years are one ``YearMap`` view; the ``CovariateSet`` and ``SpectralIndices``
+rules then run once over the matrix. No row is wrapped in an object. Anything
+unusual (a quoted file, a bad year, a repeated key, a wrong field count, a
+cell numpy cannot read, blanks in a cell, a non-finite value, a broken
+rule) sends the table cell by cell, in file order, which raises the first
+error at its line or accepts what ``float()`` accepts and numpy does not,
+such as ``1_0``. Files that ``regrow synth`` writes never take that path.
+The matrix depends neither on the number of workers nor on the row order.
 
 Loading is order-independent: outputs are keyed or sorted by id, so a
 shuffled input yields an identical Dataset.
@@ -49,6 +52,7 @@ import io
 import logging
 import math
 import mmap
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,8 +67,9 @@ from .core import (
     ReferencePoint,
     SiteRecord,
     SpectralIndices,
+    YearMap,
     parse_strategy,
-    validate_embedding,
+    stack_rows,
 )
 from .errors import (
     CsvParseError,
@@ -249,7 +254,8 @@ class _Table:
         checks. A bulk-parsed row's other fields are cut from its text as it
         is yielded. ``threads`` caps the workers of the bulk parse.
         """
-        matrix = self._parse_bulk(first, count, width, threads) if count else None
+        identity = np.arange(len(self._records))
+        matrix = self._parse_bulk(first, count, width, threads, identity) if count else None
         tail = width - first - count
         for i, (line, rec) in enumerate(self._records):
             self.line = line
@@ -262,9 +268,36 @@ class _Table:
             yield line, row[:first] + row[first + count:], row[first:first + count]
         self.line = None
 
-    def _parse_bulk(self, first: int, count: int, width: int, threads: int | None):
+    def sorted_keys(self):
+        """(ids, years, row of each record) of an ``id,year,...`` table with
+        its rows in (id, year) order; None for a quoted file, a missing or bad
+        year, or a repeated key.
+        """
+        if self._quoted:
+            return None
+        # Only the two head fields of a record are kept, never its numbers.
+        heads = [rec.split(",", 2)[:2] for _, rec in self._records]
+        ids = [head[0] for head in heads]
+        try:
+            years = np.array([int(head[1]) for head in heads], dtype=np.int64)
+        except (IndexError, ValueError, OverflowError):
+            return None
+        unique = sorted(set(ids))
+        rank = dict(zip(unique, range(len(unique))))
+        codes = np.fromiter(map(rank.__getitem__, ids), np.int64, len(ids))
+        order = np.lexsort((years, codes))  # records in (id, year) order
+        codes, years = codes[order], years[order]
+        if ((codes[1:] == codes[:-1]) & (years[1:] == years[:-1])).any():
+            return None
+        slots = np.empty_like(order)
+        slots[order] = np.arange(len(order))
+        return tuple(map(unique.__getitem__, codes.tolist())), tuple(years.tolist()), slots
+
+    def _parse_bulk(self, first: int, count: int, width: int, threads: int | None,
+                    slots: np.ndarray):
         """The numeric cells of every row parsed in bulk into a read-only
-        (rows, count) matrix, or None on any anomaly.
+        (rows, count) matrix, record i at row ``slots[i]``, or None on any
+        anomaly.
 
         The rows are cut into blocks of ``_PARSE_CELLS`` cells, one job each
         (see ``_parse_block``). A table of more than ``_POOL_CELLS`` cells
@@ -283,7 +316,7 @@ class _Table:
             # In process; min keeps a cap below 1, which the pool rejects.
             threads = 1 if threads is None else min(threads, 1)
         step = max(1, _PARSE_CELLS // count)
-        blocks = [(self._records, a, min(a + step, n), first, count, width, matrix)
+        blocks = [(self._records, a, min(a + step, n), first, count, width, matrix, slots)
                   for a in range(0, n, step)]
         if not all(iter_jobs(_parse_block, blocks, threads)):
             return None
@@ -291,8 +324,10 @@ class _Table:
         return matrix
 
 
-def _parse_block(records, a: int, b: int, first: int, count: int, width: int, out) -> bool:
-    """Parse the numeric cells of the block ``records[a:b]`` into ``out[a:b]``.
+def _parse_block(records, a: int, b: int, first: int, count: int, width: int, out,
+                 slots) -> bool:
+    """Parse the numeric cells of the block ``records[a:b]`` into their rows
+    ``slots[a:b]`` of ``out``.
 
     Returns whether the block was clean: False on an anomaly, a row without
     exactly ``width`` fields, a cell numpy cannot parse or that holds
@@ -313,7 +348,7 @@ def _parse_block(records, a: int, b: int, first: int, count: int, width: int, ou
         return False
     if values.size != (b - a) * count or not np.isfinite(values).all():
         return False
-    out[a:b] = values.reshape(b - a, count)
+    out[slots[a:b]] = values.reshape(b - a, count)
     return True
 
 
@@ -365,34 +400,82 @@ def load_lulc_codes(path: str | Path) -> LULCCodeMap:
         return LULCCodeMap(entries)
 
 
-def _load_keyed(table: _Table, what: str, width: int, make, *, exact: bool = True,
-                threads: int | None = None) -> dict:
-    """``make(cells, line)`` of each row of an ``id,year,...`` table, keyed by
-    (id, year); ``cells`` are the row's numeric columns 2 to ``width``. A
-    repeated key or an InvalidValueError is an error at the row's line."""
+class YearTable(Mapping):
+    """An ``id,year,...`` table as a read-only ``{(id, year): value}`` map:
+    the id and year of each row, in (id, year) order, and ``matrix``, the
+    rows. ``kind`` wraps a row only when it is read.
+    """
+
+    def __init__(self, ids: tuple[str, ...], years: tuple[int, ...], matrix: np.ndarray,
+                 kind: type):
+        self.ids, self.years, self.matrix, self.kind = ids, years, matrix, kind
+
+    @classmethod
+    def from_mapping(cls, mapping: Mapping, kind: type) -> "YearTable":
+        """``mapping`` itself if it is a YearTable, else a table of its values."""
+        if isinstance(mapping, YearTable):
+            return mapping
+        keys = sorted(mapping)
+        return cls(tuple(rid for rid, _ in keys), tuple(year for _, year in keys),
+                   stack_rows([mapping[key].as_array() for key in keys]), kind)
+
+    def year_map(self, rid: str, window: tuple[int, int]) -> YearMap:
+        """The rows of ``rid`` with a year in ``window``, as one YearMap view."""
+        a, b = bisect_left(self.ids, rid), bisect_right(self.ids, rid)
+        a, b = bisect_left(self.years, window[0], a, b), bisect_right(self.years, window[1], a, b)
+        return YearMap(self.years[a:b], self.matrix[a:b], self.kind)
+
+    def __getitem__(self, key: tuple[str, int]):
+        rid, year = key
+        return self.year_map(rid, (year, year))[year]
+
+    def __iter__(self):
+        return zip(self.ids, self.years)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def _load_keyed(table: _Table, what: str, kind: type, names: Sequence[str], *,
+                exact: bool = True, threads: int | None = None) -> YearTable:
+    """An ``id,year,...`` table as a YearTable of ``kind`` values, one
+    numeric column per name in ``names`` after the id and year.
+
+    The keys come first, so the bulk parse writes each row to its sorted
+    slot. An anomaly in the keys, the parse or ``kind``'s rules sends the
+    table cell by cell, where a repeated key or an InvalidValueError is an
+    error at the row's line.
+    """
+    count = len(names)
+    keys = table.sorted_keys()
+    if keys is not None:
+        ids, years, slots = keys
+        matrix = table._parse_bulk(2, count, count + 2, threads, slots)
+        if matrix is not None and kind.rows_pass(matrix):
+            return YearTable(ids, years, matrix, kind)
     out = {}
-    for line, (rid, year, *_), cells in table.rows(2, width - 2, width, exact=exact,
-                                                   threads=threads):
+    # Every field as text: no numeric column to parse in bulk again.
+    for line, (rid, year, *cells), _ in table.rows(0, 0, count + 2, exact=exact):
         key = (rid, _parse_int(year, "year", line))
         if key in out:
             raise DuplicateKeyError(f"duplicate {what} key {key}", line=line)
         try:
-            out[key] = make(cells, line)
+            values = _floats(cells, names, line)
+            out[key] = kind(values) if kind is EmbeddingVector else kind(*values)
         except InvalidValueError as exc:
             raise CsvParseError(str(exc), line=line) from None
-    return out
+    return YearTable.from_mapping(out, kind)
 
 
-def load_embeddings(
-    path: str | Path, *, threads: int | None = None,
-) -> dict[tuple[str, int], EmbeddingVector]:
-    """Load per-(id, year) embedding vectors.
+def load_embeddings(path: str | Path, *, threads: int | None = None) -> YearTable:
+    """Load per-(id, year) embedding vectors as a YearTable.
 
     The dimension is inferred from the header (number of A-columns) and
     must be constant; a row with a different field count raises
-    MissingColumnError with its line number. The vectors of a file are
-    read-only rows of one float64 matrix. ``threads`` caps the worker
-    processes that parse a large file (None: every available core).
+    MissingColumnError with its line number. The table maps (id, year) to
+    an EmbeddingVector, a read-only row of its one float64 matrix.
+    ``threads`` caps the worker processes that parse a large file (None:
+    every available core).
     """
     with _Table(path) as table:
         header = table.header
@@ -401,52 +484,25 @@ def load_embeddings(
         bad = [_clip(c) for c in header[2:] if not c.startswith("A")]
         if bad:
             raise MissingColumnError(f"non-embedding columns after id,year: {bad}")
-        dim = len(header) - 2
-
-        def make(cells, line):
-            if isinstance(cells, np.ndarray):
-                return EmbeddingVector._trusted(cells)
-            return validate_embedding(_floats(cells, ["embedding value"] * dim, line), dim)
-
-        return _load_keyed(table, "embedding", len(header), make, threads=threads)
+        names = ["embedding value"] * (len(header) - 2)
+        return _load_keyed(table, "embedding", EmbeddingVector, names, threads=threads)
 
 
-def _load_spectral(
-    path: str | Path, threads: int | None,
-) -> dict[tuple[str, int], SpectralIndices]:
+def _load_spectral(path: str | Path, threads: int | None) -> YearTable:
     with _Table(path) as table:
         if table.header[:4] != ["id", "year", "ndvi", "evi"]:
             raise _bad_header("id,year,ndvi,evi", table.header)
-
-        def make(cells, line):
-            return SpectralIndices(*_floats(cells, ("ndvi", "evi"), line))
-
-        return _load_keyed(table, "spectral", 4, make, exact=False, threads=threads)
+        return _load_keyed(table, "spectral", SpectralIndices, SpectralIndices.FIELD_NAMES,
+                           exact=False, threads=threads)
 
 
-def _load_covariates(
-    path: str | Path, threads: int | None,
-) -> dict[tuple[str, int], CovariateSet]:
+def _load_covariates(path: str | Path, threads: int | None) -> YearTable:
     with _Table(path) as table:
         expected = ["id", "year", *CovariateSet.FIELD_NAMES]
         if table.header != expected:
             raise _bad_header(expected, table.header)
-
-        def make(cells, line):
-            return CovariateSet(*_floats(cells, CovariateSet.FIELD_NAMES, line))
-
-        return _load_keyed(table, "covariate", len(expected), make, threads=threads)
-
-
-def _by_id(table: Mapping[tuple[str, int], object], window: tuple[int, int]) -> dict:
-    """``{id: {year: value}}`` of an (id, year)-keyed table, years in ``window`` only."""
-    # Regrouped up front, a join is linear; scanning the table per id is quadratic.
-    first, last = window
-    out: dict = {}
-    for (rid, year), value in table.items():
-        if first <= year <= last:
-            out.setdefault(rid, {})[year] = value
-    return out
+        return _load_keyed(table, "covariate", CovariateSet, CovariateSet.FIELD_NAMES,
+                           threads=threads)
 
 
 def load_sites(
@@ -470,11 +526,11 @@ def load_sites(
         expected = ["site_id", "lon", "lat", "area_ha", "start_year", "strategy", "start_lulc"]
         if table.header != expected:
             raise _bad_header(expected, table.header)
-        spectral = _load_spectral(spectral_path, threads) if spectral_path else {}
-        covariates = _load_covariates(covariates_path, threads) if covariates_path else {}
-        emb_by_id = _by_id(embeddings, window)
-        spec_by_id = _by_id(spectral, window)
-        cov_by_id = _by_id(covariates, window)
+        embeddings = YearTable.from_mapping(embeddings, EmbeddingVector)
+        spectral = YearTable.from_mapping(
+            _load_spectral(spectral_path, threads) if spectral_path else {}, SpectralIndices)
+        covariates = YearTable.from_mapping(
+            _load_covariates(covariates_path, threads) if covariates_path else {}, CovariateSet)
 
         sites: list[SiteRecord] = []
         no_embeddings: list[str] = []
@@ -492,7 +548,7 @@ def load_sites(
             for name, text in (*zip(numeric, cells), ("start_year", start_year)):
                 if isinstance(text, str) and not text.strip():
                     raise MissingMetadataFieldError(f"missing {name} for {site_id}", line=line)
-            site_embeddings = emb_by_id.get(site_id, {})
+            site_embeddings = embeddings.year_map(site_id, window)
             if not site_embeddings:
                 no_embeddings.append(site_id)
                 continue
@@ -507,8 +563,8 @@ def load_sites(
                     start_year=_parse_int(start_year, "start_year", line),
                     strategy=parse_strategy(strategy),
                     embeddings=site_embeddings,
-                    spectral=spec_by_id.get(site_id, {}),
-                    covariates=cov_by_id.get(site_id, {}),
+                    spectral=spectral.year_map(site_id, window),
+                    covariates=covariates.year_map(site_id, window),
                     start_lulc=lulc_codes.class_for_name(start_lulc_text) if start_lulc_text else None,
                 )
             except InvalidValueError as exc:
@@ -557,7 +613,7 @@ def load_reference_points(
             if year not in year_cols:
                 raise MissingYearColumnError(f"missing column lulc_{year}")
 
-        emb_by_id = _by_id(embeddings, window)
+        embeddings = YearTable.from_mapping(embeddings, EmbeddingVector)
         points: list[ReferencePoint] = []
         seen: set[str] = set()
         unmapped: Counter[int] = Counter()  # unknown code -> cells
@@ -582,7 +638,7 @@ def load_reference_points(
                         lon=lon,
                         lat=lat,
                         lulc_series=series,
-                        embeddings=emb_by_id.get(point_id, {}),
+                        embeddings=embeddings.year_map(point_id, window),
                     )
                 )
             except InvalidValueError as exc:

@@ -74,38 +74,20 @@ def build_features(
     set, in which case they are emitted as NaN for downstream train-fold
     mean imputation.
     """
+    blocks = {
+        "cov": (site.covariates, N_COVARIATE_COLUMNS, "covariates"),
+        "spec": (site.spectral, N_SPECTRAL_COLUMNS, "spectral indices"),
+        "emb": (site.embeddings, dim, "embedding"),
+    }
     parts: list[np.ndarray] = []
     for block in _BLOCKS[feature_set]:
-        if block == "cov":
-            cov = site.covariates.get(at_year)
-            if cov is not None:
-                parts.append(cov.as_array())
-            elif allow_missing:
-                parts.append(np.full(N_COVARIATE_COLUMNS, np.nan))
-            else:
-                raise MissingFeatureError(
-                    f"site {site.site_id}: no covariates for year {at_year}"
-                )
-        elif block == "spec":
-            spec = site.spectral.get(at_year)
-            if spec is not None:
-                parts.append(np.array([spec.ndvi, spec.evi]))
-            elif allow_missing:
-                parts.append(np.full(N_SPECTRAL_COLUMNS, np.nan))
-            else:
-                raise MissingFeatureError(
-                    f"site {site.site_id}: no spectral indices for year {at_year}"
-                )
+        years, width, what = blocks[block]
+        if at_year in years:
+            parts.append(years.row(at_year))
+        elif allow_missing:
+            parts.append(np.full(width, np.nan))
         else:
-            emb = site.embeddings.get(at_year)
-            if emb is not None:
-                parts.append(emb.values)
-            elif allow_missing:
-                parts.append(np.full(dim, np.nan))
-            else:
-                raise MissingFeatureError(
-                    f"site {site.site_id}: no embedding for year {at_year}"
-                )
+            raise MissingFeatureError(f"site {site.site_id}: no {what} for year {at_year}")
     return np.concatenate(parts)
 
 
@@ -212,7 +194,7 @@ def assemble_design(
     usable = [s for s in sorted(sites, key=lambda s: s.site_id) if s.site_id in target_map]
     if not usable:
         return [], np.zeros((0, 0)), [], excluded
-    dim = next(iter(usable[0].embeddings.values())).dim
+    dim = usable[0].embeddings.matrix.shape[1]
     X = np.stack(
         [
             build_features(s, feature_set, s.start_year + t0, dim, allow_missing=allow_missing)

@@ -90,19 +90,19 @@ def trajectory_paths_2d(
 ) -> list[tuple[str, int, float, float]]:
     """Per-year projected coordinates, sorted by (id, year)."""
     dim = model.mean.dim
-    ids, years, embs = [], [], []
-    for rec in records:
+    ids, years, blocks = [], [], []
+    for rec in (r for r in records if r.embeddings):
         rec_id = rec.point_id if isinstance(rec, ReferencePoint) else rec.site_id
-        for year, emb in rec.embeddings.items():
-            if emb.dim != dim:
-                raise WrongDimensionError(f"dimension mismatch: {emb.dim} vs {dim}")
-            ids.append(rec_id)
-            years.append(year)
-            embs.append(emb.values)
-    if not embs:
+        matrix = rec.embeddings.matrix
+        if matrix.shape[1] != dim:
+            raise WrongDimensionError(f"dimension mismatch: {matrix.shape[1]} vs {dim}")
+        ids += [rec_id] * len(matrix)
+        years += rec.embeddings.years
+        blocks.append(matrix)
+    if not blocks:
         return []
     # vecdot over C-contiguous rows rounds as the np.dot of ``project``.
-    centered = np.array(embs)
+    centered = np.concatenate(blocks)
     centered -= model.mean.values
     xs = np.vecdot(centered, model.components[0].values).tolist()
     ys = np.vecdot(centered, model.components[1].values).tolist()

@@ -209,11 +209,10 @@ class OutlierReport:
             raise InvalidValueError("outlier distances must be non-increasing")
 
 
-def _mean_embedding(members: Sequence[tuple[str, EmbeddingVector]]) -> EmbeddingVector:
+def _mean_embedding(members: Sequence[tuple[str, ReferencePoint]], year: int) -> EmbeddingVector:
     # Fixed summation order (sorted point_id) for bit-reproducibility.
     ordered = sorted(members, key=lambda m: m[0])
-    stack = np.stack([m[1].values for m in ordered])
-    return EmbeddingVector(stack.mean(axis=0))
+    return EmbeddingVector(np.stack([p.embeddings.row(year) for _, p in ordered]).mean(axis=0))
 
 
 def stable_members_by_class(
@@ -251,8 +250,7 @@ def build_reference_set(
         secondary = sorted(members[SECONDARY_FOREST])
         tables[year] = ReferenceTable(
             centroids={
-                cls: _mean_embedding([(pid, p.embeddings[year]) for pid, p in pts])
-                for cls, pts in members.items()
+                cls: _mean_embedding(pts, year) for cls, pts in members.items()
             },
             secondary={pid: p.embeddings[year] for pid, p in secondary},
         )
@@ -306,7 +304,7 @@ def detect_outliers(
     members = stable_members_by_class(points, year).get(lulc, [])
     if not members:
         return OutlierReport(lulc=lulc, metric=metric, ranked=())
-    emb = np.stack([p.embeddings[year].values for _, p in members])
+    emb = np.stack([p.embeddings.row(year) for _, p in members])
     if metric == "cosine":
         dists = 1.0 - cosine_similarities(emb, centroid.values)
     else:

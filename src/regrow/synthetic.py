@@ -39,6 +39,8 @@ from .core import (
     URBAN,
     WETLAND,
     CovariateSet,
+    YearMap,
+    stack_rows,
 )
 from .csvio import write_csv
 from .errors import (
@@ -207,21 +209,21 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
 
 def _noisy_embeddings(
     years: range, bases: np.ndarray, sigma: float, rng: np.random.Generator
-) -> dict[int, EmbeddingVector]:
+) -> YearMap:
     """One record's embeddings: each year's unit ``bases`` row plus noise.
 
     The noise of every year comes from one ``(years, dim)`` draw, in the
-    order one draw per year would take it. The rows are views of one
-    read-only matrix whose finiteness is checked once.
+    order one draw per year would take it. The rows are one read-only
+    matrix whose finiteness is checked once.
     """
     if sigma == 0.0:
         rows = np.array(bases, dtype=np.float64)
     else:
         rows = _unit_rows(bases + rng.normal(0.0, sigma, size=bases.shape))
-    if not np.isfinite(rows).all():
+    if not EmbeddingVector.rows_pass(rows):
         raise NonFiniteError("embedding contains NaN or Inf")
     rows.flags.writeable = False
-    return dict(zip(years, map(EmbeddingVector._trusted, rows)))
+    return YearMap(tuple(years), rows, EmbeddingVector)
 
 
 def _orthogonal_unit(anchor: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -356,10 +358,7 @@ def generate_world(config: SynthConfig) -> tuple[Dataset, GroundTruth]:
         noise = rng.normal(0.0, 0.02, size=(len(years), 2))
         ndvi = np.clip(0.25 + 0.55 * alpha + noise[:, 0], -1.0, 1.0)
         evi = 0.15 + 0.45 * alpha + noise[:, 1]
-        spectral = {
-            y: SpectralIndices(ndvi=n, evi=e)
-            for y, n, e in zip(years, ndvi.tolist(), evi.tolist())
-        }
+        spectral = YearMap(tuple(years), stack_rows(np.column_stack([ndvi, evi])), SpectralIndices)
 
         strategy_idx = strategies.index(strategy)
         if config.covariate_strategy_signal > 0:
@@ -382,7 +381,8 @@ def generate_world(config: SynthConfig) -> tuple[Dataset, GroundTruth]:
             forest_cover_2km=float(rng.uniform(0.0, 1.0)),
             road_density_5km=float(rng.uniform(0.0, 4.0)),
         )
-        covariates = {y: cov for y in years}
+        covariates = YearMap(tuple(years), stack_rows(np.tile(cov.as_array(), (len(years), 1))),
+                             CovariateSet)
 
         sites.append(
             SiteRecord(
@@ -446,13 +446,13 @@ def write_world(
             on_write(path)
 
     emb_rows = [
-        (record_id, year, emb.values)
+        (record_id, year, row)
         for records in (
             ((s.site_id, s.embeddings) for s in dataset.sites),
             ((p.point_id, p.embeddings) for p in dataset.references),
         )
         for record_id, embeddings in records
-        for year, emb in embeddings.items()
+        for year, row in zip(embeddings.years, embeddings.matrix)
     ]
     emb_rows.sort(key=itemgetter(0, 1))
     dim = emb_rows[-1][2].size if emb_rows else 0
@@ -477,18 +477,18 @@ def write_world(
         "spectral.csv",
         ["id", "year", "ndvi", "evi"],
         (
-            (s.site_id, year, sp.ndvi, sp.evi)
+            (s.site_id, year, row)
             for s in dataset.sites
-            for year, sp in s.spectral.items()
+            for year, row in zip(s.spectral.years, s.spectral.matrix)
         ),
     )
     write(
         "covariates.csv",
         ["id", "year", *CovariateSet.FIELD_NAMES],
         (
-            (s.site_id, year, cov.as_array())
+            (s.site_id, year, row)
             for s in dataset.sites
-            for year, cov in s.covariates.items()
+            for year, row in zip(s.covariates.years, s.covariates.matrix)
         ),
     )
 

@@ -155,7 +155,7 @@ def build_trajectory(
         refs = [refset.global_reference(year) for year in years]
     else:
         refs = [refset.secondary_embedding(point_id, year) for year in years]
-    sims = cosine_similarities(_matrix(site.embeddings.values()), _matrix(refs))
+    sims = cosine_similarities(site.embeddings.matrix, _matrix(refs))
     samples = tuple(
         TrajectorySample(year=year, delta_t=site.delta_t(year), similarity=_clamp(s))
         for year, s in zip(years, sims.tolist())
@@ -270,8 +270,8 @@ def spectral_trajectory(site: SiteRecord) -> list[tuple[int, float, float]]:
     Years without spectral data are omitted.
     """
     return [
-        (site.delta_t(year), sp.ndvi, sp.evi)
-        for year, sp in site.spectral.items()
+        (site.delta_t(year), ndvi, evi)
+        for year, (ndvi, evi) in zip(site.spectral.years, site.spectral.matrix.tolist())
     ]
 
 
@@ -306,7 +306,7 @@ def classify_trajectory(site: SiteRecord, refset: ReferenceSet) -> ClassTrajecto
     groups: dict[int, list[int]] = {}
     for i, year in enumerate(years):
         groups.setdefault(refset.reference_year(year), []).append(i)
-    emb = _matrix(site.embeddings.values())
+    emb = site.embeddings.matrix
     samples: list[tuple[int, LULCClass, float]] = [None] * len(years)
     for ref_year, rows in groups.items():
         table = refset.class_centroids(ref_year)

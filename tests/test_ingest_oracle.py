@@ -579,3 +579,46 @@ mutation = st.tuples(
 @given(mutations=st.lists(mutation, min_size=1, max_size=4))
 def test_mutated_worlds_match_the_oracle(base_world, mutations):
     assert_same_outcome(apply_mutations(base_world, mutations))
+
+
+#: A value that breaks each CovariateSet and SpectralIndices rule, by the
+#: rule's message: (class, field, value).
+RULE_BREAKS = {
+    "precip_mm must be >= 0": (CovariateSet, "precip_mm", "-1"),
+    "et_mm must be >= 0": (CovariateSet, "et_mm", "-0.5"),
+    "tmin_c must be <= tmax_c": (CovariateSet, "tmin_c", "99"),
+    "slope_deg must be in [0, 90]": (CovariateSet, "slope_deg", "90.5"),
+    "aspect_deg must be in [0, 360)": (CovariateSet, "aspect_deg", "360"),
+    "forest_cover_2km must be in [0, 1]": (CovariateSet, "forest_cover_2km", "1.5"),
+    "road_density_5km must be >= 0": (CovariateSet, "road_density_5km", "-2"),
+    "ndvi must be in [-1, 1], got {ndvi}": (SpectralIndices, "ndvi", "-1.5"),
+}
+TABLE_OF = {CovariateSet: "covariates.csv", SpectralIndices: "spectral.csv"}
+
+
+def test_rule_breaks_cover_every_rule():
+    assert set(RULE_BREAKS) == {m for cls in TABLE_OF for m, _ in cls.RULES}
+
+
+@pytest.mark.parametrize("duplicate_first", [False, True], ids=["rule_first", "duplicate_first"])
+@pytest.mark.parametrize("rule", sorted(RULE_BREAKS))
+def test_a_broken_rule_and_a_duplicate_key_raise_in_file_order(base_world, rule,
+                                                              duplicate_first):
+    cls, field, value = RULE_BREAKS[rule]
+    name = TABLE_OF[cls]
+    table = _rows(base_world[name])
+    fields = table[3].split(",")
+    fields[2 + cls.FIELD_NAMES.index(field)] = value
+    table[3] = ",".join(fields)
+    table.insert(6, table[1])  # a later row with the key of data row 1
+    if duplicate_first:
+        table[3], table[6] = table[6], table[3]
+    texts = {**base_world, name: "\n".join(table) + "\n"}
+    with tempfile.TemporaryDirectory() as tmp:
+        for file, text in texts.items():
+            (Path(tmp) / file).write_text(text, encoding="utf-8", newline="")
+        expected = _outcome(_oracle_load_dataset, Path(tmp))
+    # The first of the two rows in file order, line 4, is the one at fault.
+    assert type(expected) is (DuplicateKeyError if duplicate_first else CsvParseError)
+    assert expected.line == 4 and expected.oracle_file == name
+    assert_same_outcome(texts)

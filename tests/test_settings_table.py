@@ -104,6 +104,24 @@ class TestProbes:
         assert (record["error"], record["file"], record["line"]) == ("invalid_value", str(cfg), 2)
         _assert_no_outputs(out)
 
+    @pytest.mark.parametrize("text", [
+        *(f"seed = 1{sep}\nbogus = 2\n" for sep in ("\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                                    "\u2028")),
+        "seed = 1\r\nbogus = 2\r\n", "seed = 1\rbogus = 2\r",
+    ])
+    def test_config_lines_end_only_at_line_ends(self, world_dir, tmp_path, capsys, text):
+        # str.splitlines would also end a line at the form feed and the other
+        # separators, and count the bad key at line 3.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(text.encode())
+        out = tmp_path / "out"
+        assert run(["validate", "--inputs-dir", world_dir, "--output-dir", out,
+                    "--config", cfg]) == 1
+        record = _record(capsys)
+        assert (record["error"], record["file"], record["line"]) == ("invalid_value", str(cfg), 2)
+        assert "bogus" in record["message"]
+        _assert_no_outputs(out)
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_stable_window_of_no_years_is_located(self, world_dir, tmp_path, capsys, value):
         cfg = tmp_path / "run.cfg"
