@@ -38,7 +38,7 @@ from .references import (
     detect_outliers,
     find_local_reference,
 )
-from .synthetic import GroundTruth, SynthConfig, generate_world, oracle_similarity
+from .synthetic import GroundTruth, SynthConfig, generate_world
 from .trajectories import (
     BaselineBand,
     ClassTrajectory,

@@ -223,12 +223,7 @@ def _config_lines(path: str | Path):
     """(key, value text, 1-based line) of each setting in a config file."""
     # Lines end at \n, \r\n or \r, as in the CSV tables; not at the other
     # breaks that str.splitlines knows, such as a form feed.
-    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise InvalidValueError(f"not UTF-8 ({exc.reason})", file=str(path), line=line) from None
+    text = ingest.read_utf8(path, InvalidValueError).replace("\r\n", "\n").replace("\r", "\n")
     for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):

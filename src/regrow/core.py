@@ -105,7 +105,9 @@ def validate_embedding(values: Sequence[float] | np.ndarray, dim: int) -> Embedd
     """Validate raw values against the dataset-wide dimension ``dim``.
 
     Raises WrongDimensionError on a length mismatch and NonFiniteError if
-    any entry is NaN or Inf.
+    any entry is NaN or Inf. Nothing in the package calls it: it is public
+    for callers that build vectors from their own rows, and the ingest
+    tests' cell-by-cell oracle builds its expected vectors with it.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.shape[0] != dim:

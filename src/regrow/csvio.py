@@ -2,9 +2,9 @@ r"""Deterministic CSV writing helpers.
 
 All output tables use `\n` line endings and shortest-round-trip float
 formatting (repr) so identical runs produce byte-identical files. A table
-whose caller allows it is formatted in contiguous slabs through
-``pool.iter_jobs``, on the worker pool when it has two slabs or more, and
-written here in order, so its bytes do not depend on the worker count.
+is formatted in contiguous slabs through ``pool.iter_jobs``, on the worker
+pool when its caller allows it and it has two slabs or more, and written
+here in order, so its bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ import numpy as np
 
 from .pool import iter_jobs
 
-#: Cells (an array cell counts its entries) per slab of a table formatted
-#: through the pool; a table that fills one slab or less is one job, which
-#: runs here.
+#: Cells (an array cell counts its entries) per slab of a table; a table
+#: that fills one slab or less is one job, which runs here.
 #: Measured on 2 cores with the 2500-site world in memory: a pool costs
 #: ~0.03 s and formats ~1.5x as fast as one process (~1.5 us a cell), so it
 #: broke even near 55k cells, was within noise at 80k (spectral.csv) and
@@ -61,26 +60,21 @@ def write_csv(
 ) -> Path:
     """Write one table, in row order.
 
-    With ``threads`` 1 (the default) each row is formatted here as it comes.
-    A caller that passes another cap (None: every available core) hands over
-    the whole table, which is cut into slabs of at most ``_SLAB_CELLS`` cells
-    (one row at least) and formatted by ``pool.iter_jobs`` (on up to ``threads`` worker
-    processes when there are two slabs or more); each slab is written here
-    as soon as it and the slabs before it are done.
+    The rows are all built before the file is opened, so an error while
+    building them leaves no file. They are cut into slabs of at most
+    ``_SLAB_CELLS`` cells (one row at least), which ``pool.iter_jobs``
+    formats: here with ``threads`` 1 (the default) or a single slab, else on
+    up to ``threads`` worker processes (None: every available core). Each
+    slab is written as soon as it and the slabs before it are done.
     """
     path = Path(path)
-    if threads != 1:
-        rows = list(rows)
-        step = max(1, _SLAB_CELLS // _row_cells(rows[0])) if rows else 1
-        slabs = iter_jobs(_format_rows, [(rows[a:a + step],) for a in range(0, len(rows), step)],
-                          threads)
+    rows = list(rows)
+    step = max(1, _SLAB_CELLS // _row_cells(rows[0])) if rows else 1
+    slabs = iter_jobs(_format_rows, [(rows[a:a + step],) for a in range(0, len(rows), step)],
+                      threads)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        if threads == 1:
-            for row in rows:
-                fh.write(",".join(format_cell(v) for v in row) + "\n")
-        else:
-            for text in slabs:
-                fh.write(text)
+        for text in slabs:
+            fh.write(text)
     return path

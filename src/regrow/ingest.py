@@ -22,24 +22,28 @@ Parse contract:
   fault (line 1 is the header). An error about a table as a whole, such as
   a duplicate class name in lulc_codes.csv, names the file only.
 
-Each file is read once. A table's numeric columns are parsed in bulk by
-``np.fromstring``, which rounds as ``float()`` does, into one read-only
-matrix, ``_PARSE_CELLS`` cells of rows at a time: each such row block is one
-job of ``pool.iter_jobs``, on the worker pool for a table of more than
-``_POOL_CELLS`` cells (``threads`` caps it, as everywhere), each worker
-writing its rows of one shared matrix. Beyond the file's text and the
-matrix, a parse holds one block of text and values (~2 MB) per worker. The
-three ``id,year,...`` tables are read keys first: one pass cuts each
+Each file is read once, and decoded by ``read_utf8``. The three
+``id,year,...`` tables hold nearly all of the input's bytes; their numbers
+are parsed in bulk by ``np.fromstring``, which rounds as ``float()`` does,
+into one read-only matrix, ``_PARSE_CELLS`` cells of rows at a time: each
+such row block is one job of ``pool.iter_jobs``, on the worker pool for a
+table of more than ``_POOL_CELLS`` cells (``threads`` caps it, as
+everywhere), each worker writing its rows of one shared matrix. Beyond the
+file's text and the matrix, a parse holds one block of text and values
+(~2 MB) per worker. Such a table is read keys first: one pass cuts each
 record's id and year from its head, and their sort gives each record its
 row of the matrix, so the rows come out in (id, year) order and each id's
 years are one ``YearMap`` view; the ``CovariateSet`` and ``SpectralIndices``
-rules then run once over the matrix. No row is wrapped in an object. Anything
-unusual (a quoted file, a bad year, a repeated key, a wrong field count, a
-cell numpy cannot read, blanks in a cell, a non-finite value, a broken
-rule) sends the table cell by cell, in file order, which raises the first
-error at its line or accepts what ``float()`` accepts and numpy does not,
-such as ``1_0``. Files that ``regrow synth`` writes never take that path.
-The matrix depends neither on the number of workers nor on the row order.
+rules then run once over the matrix. No row is wrapped in an object.
+Anything unusual (a quoted file, a bad year, a repeated key, a wrong field
+count, a cell numpy cannot read, blanks in a cell, a non-finite value, a
+broken rule) sends the table cell by cell, in file order, which raises the
+first error at its line or accepts what ``float()`` accepts and numpy does
+not, such as ``1_0``. Files that ``regrow synth`` writes never take that
+path. The matrix depends neither on the number of workers nor on the row
+order. Every other table (sites, reference points, LULC codes) is small and
+is always read cell by cell: ``float()`` and ``int()``, in its loader's
+order of checks.
 
 Loading is order-independent: outputs are keyed or sorted by id, so a
 shuffled input yields an identical Dataset.
@@ -189,6 +193,20 @@ class FilterReport:
     stages: tuple[tuple[str, int, int], ...]  # (reason, dropped, remaining)
 
 
+def read_utf8(path: str | Path, error: type[RegrowError]) -> str:
+    """The text of a UTF-8 file. A byte that is not UTF-8 raises ``error``
+    at the file and the line of the byte, lines ending at ``\\n``, ``\\r\\n``
+    and lone ``\\r``.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise error(f"not UTF-8 ({exc.reason})", line=line, file=str(path)) from None
+
+
 class _Table:
     """One input CSV, read once: its stripped header and its non-blank data rows.
 
@@ -201,13 +219,7 @@ class _Table:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.line: int | None = 1
-        data = self.path.read_bytes()
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
-            raise CsvParseError(f"not UTF-8 ({exc.reason})", line=line, file=str(self.path)) from None
-        del data
+        text = read_utf8(self.path, CsvParseError)
         self._quoted = '"' in text
         if self._quoted:
             # Quoted fields may hold commas and line breaks: csv splits them.
@@ -241,31 +253,19 @@ class _Table:
             exc.locate(self.path, self.line)
         return False
 
-    def rows(self, first: int, count: int, width: int, *, exact: bool = True,
-             threads: int | None = None):
-        """Yield ``(line, fields, cells)`` for each data row, in file order.
+    def rows(self, width: int, *, exact: bool = True):
+        """Yield ``(line, fields)`` for each data row, in file order: the
+        row's text fields, or a quoted file's fields as ``csv`` reads them.
 
-        ``cells`` are the ``count`` numeric columns starting at column
-        ``first`` and ``fields`` the row's other columns, in order. A row
-        must have ``width`` fields (at least ``width`` if not ``exact``), else
-        MissingColumnError. ``cells`` is a read-only float64 row of one
-        matrix when the bulk parse of the whole table succeeded, else the
-        text of each cell, which ``_floats`` parses in the loader's order of
-        checks. A bulk-parsed row's other fields are cut from its text as it
-        is yielded. ``threads`` caps the workers of the bulk parse.
+        A row must have ``width`` fields (at least ``width`` if not
+        ``exact``), else MissingColumnError.
         """
-        identity = np.arange(len(self._records))
-        matrix = self._parse_bulk(first, count, width, threads, identity) if count else None
-        tail = width - first - count
-        for i, (line, rec) in enumerate(self._records):
+        for line, rec in self._records:
             self.line = line
-            if matrix is not None:  # the row has exactly ``width`` fields
-                yield line, rec.split(",", first)[:first] + rec.rsplit(",", tail)[1:], matrix[i]
-                continue
-            row = rec.split(",") if isinstance(rec, str) else rec
+            row = rec if self._quoted else rec.split(",")
             if (len(row) != width) if exact else (len(row) < width):
                 raise MissingColumnError(f"expected {width} fields, got {len(row)}", line=line)
-            yield line, row[:first] + row[first + count:], row[first:first + count]
+            yield line, row
         self.line = None
 
     def sorted_keys(self):
@@ -293,11 +293,10 @@ class _Table:
         slots[order] = np.arange(len(order))
         return tuple(map(unique.__getitem__, codes.tolist())), tuple(years.tolist()), slots
 
-    def _parse_bulk(self, first: int, count: int, width: int, threads: int | None,
-                    slots: np.ndarray):
-        """The numeric cells of every row parsed in bulk into a read-only
-        (rows, count) matrix, record i at row ``slots[i]``, or None on any
-        anomaly.
+    def _parse_bulk(self, count: int, threads: int | None, slots: np.ndarray):
+        """The ``count`` numbers after the id and year of every row parsed in
+        bulk into a read-only (rows, count) matrix, record i at row
+        ``slots[i]``, or None on any anomaly.
 
         The rows are cut into blocks of ``_PARSE_CELLS`` cells, one job each
         (see ``_parse_block``). A table of more than ``_POOL_CELLS`` cells
@@ -306,8 +305,6 @@ class _Table:
         through a pipe. The first block with an anomaly ends the parse, and
         the table goes cell by cell.
         """
-        if self._quoted:
-            return None
         n = len(self._records)
         if n * count > _POOL_CELLS:
             matrix = np.frombuffer(mmap.mmap(-1, n * count * 8)).reshape(n, count)
@@ -316,7 +313,7 @@ class _Table:
             # In process; min keeps a cap below 1, which the pool rejects.
             threads = 1 if threads is None else min(threads, 1)
         step = max(1, _PARSE_CELLS // count)
-        blocks = [(self._records, a, min(a + step, n), first, count, width, matrix, slots)
+        blocks = [(self._records, a, min(a + step, n), count, matrix, slots)
                   for a in range(0, n, step)]
         if not all(iter_jobs(_parse_block, blocks, threads)):
             return None
@@ -324,20 +321,18 @@ class _Table:
         return matrix
 
 
-def _parse_block(records, a: int, b: int, first: int, count: int, width: int, out,
-                 slots) -> bool:
-    """Parse the numeric cells of the block ``records[a:b]`` into their rows
-    ``slots[a:b]`` of ``out``.
+def _parse_block(records, a: int, b: int, count: int, out, slots) -> bool:
+    """Parse the ``count`` numbers after the id and year of each record of
+    the block ``records[a:b]`` into their rows ``slots[a:b]`` of ``out``.
 
-    Returns whether the block was clean: False on an anomaly, a row without
-    exactly ``width`` fields, a cell numpy cannot parse or that holds
-    blanks, or a non-finite value.
+    Returns whether the block was clean: False on a row without exactly
+    ``count + 2`` fields, a cell numpy cannot parse or that holds blanks, or
+    a non-finite value.
     """
     block = records[a:b]
-    if any(rec.count(",") != width - 1 for _, rec in block):
+    if any(rec.count(",") != count + 1 for _, rec in block):
         return False
-    tail = width - first - count
-    joined = ",".join(rec.split(",", first)[first].rsplit(",", tail)[0] for _, rec in block)
+    joined = ",".join(rec.split(",", 2)[2] for _, rec in block)
     # numpy, like float(), skips blanks around a number, but it reads a
     # blank cell as -1; cells with blanks are left to the cell-by-cell path.
     if any(blank in joined for blank in " \t\v\f"):
@@ -380,19 +375,12 @@ def _parse_int(text: str, what: str, line: int) -> int:
         raise CsvParseError(f"bad {what}: {_clip(text)!r}", line=line) from None
 
 
-def _floats(cells, names: Sequence[str], line: int) -> list[float]:
-    """A row's numeric cells as floats: bulk-parsed as they are, text one cell at a time."""
-    if isinstance(cells, np.ndarray):
-        return cells.tolist()
-    return [_parse_float(text, name, line) for text, name in zip(cells, names)]
-
-
 def load_lulc_codes(path: str | Path) -> LULCCodeMap:
     with _Table(path) as table:
         if table.header[:2] != ["code", "name"]:
             raise _bad_header("code,name", table.header)
         entries: dict[int, str] = {}
-        for line, (code_text, name), _ in table.rows(0, 0, 2):
+        for line, (code_text, name) in table.rows(2):
             code = _parse_int(code_text, "code", line)
             if code in entries:
                 raise DuplicateKeyError(f"duplicate LULC code {code}", line=line)
@@ -450,17 +438,16 @@ def _load_keyed(table: _Table, what: str, kind: type, names: Sequence[str], *,
     keys = table.sorted_keys()
     if keys is not None:
         ids, years, slots = keys
-        matrix = table._parse_bulk(2, count, count + 2, threads, slots)
+        matrix = table._parse_bulk(count, threads, slots)
         if matrix is not None and kind.rows_pass(matrix):
             return YearTable(ids, years, matrix, kind)
     out = {}
-    # Every field as text: no numeric column to parse in bulk again.
-    for line, (rid, year, *cells), _ in table.rows(0, 0, count + 2, exact=exact):
+    for line, (rid, year, *cells) in table.rows(count + 2, exact=exact):
         key = (rid, _parse_int(year, "year", line))
         if key in out:
             raise DuplicateKeyError(f"duplicate {what} key {key}", line=line)
         try:
-            values = _floats(cells, names, line)
+            values = [_parse_float(text, name, line) for text, name in zip(cells, names)]
             out[key] = kind(values) if kind is EmbeddingVector else kind(*values)
         except InvalidValueError as exc:
             raise CsvParseError(str(exc), line=line) from None
@@ -535,31 +522,28 @@ def load_sites(
         sites: list[SiteRecord] = []
         no_embeddings: list[str] = []
         seen: set[str] = set()
-        numeric = ("lon", "lat", "area_ha")
-        rows = table.rows(1, 3, 7, threads=threads)
-        for line, (site_id, start_year, strategy, start_lulc), cells in rows:
+        for line, (site_id, lon, lat, area_ha, start_year, strategy, start_lulc) in table.rows(7):
             site_id = site_id.strip()
             if not site_id:
                 raise MissingMetadataFieldError("empty site_id", line=line)
             if site_id in seen:
                 raise DuplicateKeyError(f"duplicate site_id {site_id!r}", line=line)
             seen.add(site_id)
-            # Bulk-parsed cells are numbers, so only text cells can be blank.
-            for name, text in (*zip(numeric, cells), ("start_year", start_year)):
-                if isinstance(text, str) and not text.strip():
+            for name, text in (("lon", lon), ("lat", lat), ("area_ha", area_ha),
+                               ("start_year", start_year)):
+                if not text.strip():
                     raise MissingMetadataFieldError(f"missing {name} for {site_id}", line=line)
             site_embeddings = embeddings.year_map(site_id, window)
             if not site_embeddings:
                 no_embeddings.append(site_id)
                 continue
-            lon, lat, area_ha = _floats(cells, numeric, line)
             start_lulc_text = start_lulc.strip()
             try:
                 site = SiteRecord(
                     site_id=site_id,
-                    centroid_lon=lon,
-                    centroid_lat=lat,
-                    area_ha=area_ha,
+                    centroid_lon=_parse_float(lon, "lon", line),
+                    centroid_lat=_parse_float(lat, "lat", line),
+                    area_ha=_parse_float(area_ha, "area_ha", line),
                     start_year=_parse_int(start_year, "start_year", line),
                     strategy=parse_strategy(strategy),
                     embeddings=site_embeddings,
@@ -587,23 +571,20 @@ def load_reference_points(
     lulc_years: tuple[int, int] = DEFAULT_LULC_YEARS,
     window: tuple[int, int] = (2017, 2024),
     lulc_codes: LULCCodeMap = DEFAULT_LULC_CODES,
-    threads: int | None = None,
 ) -> list[ReferencePoint]:
     """Load reference points; stability is left unclassified.
 
     The header must contain lulc_<Y> for every year in ``lulc_years``;
     otherwise MissingYearColumnError is raised. A code missing from
     ``lulc_codes`` is kept as Other(code), with one warning per code and
-    its cell count once the file is loaded. ``threads`` caps the worker
-    processes that parse a large table.
+    its cell count once the file is loaded.
     """
     with _Table(meta_path) as table:
         header = table.header
         if header[:3] != ["point_id", "lon", "lat"]:
             raise _bad_header("point_id,lon,lat,lulc_<Y>...", header[:3])
-        # year -> index of its code among a row's non-numeric fields (after point_id)
-        year_cols: dict[int, int] = {}
-        for idx, name in enumerate(header[3:], start=1):
+        year_cols: dict[int, int] = {}  # year -> column of its code
+        for idx, name in enumerate(header[3:], start=3):
             if not name.startswith("lulc_"):
                 raise MissingColumnError(f"unexpected column {_clip(name)!r}")
             year = _parse_int(name[len("lulc_"):], f"year in column {_clip(name)!r}", 1)
@@ -617,7 +598,7 @@ def load_reference_points(
         points: list[ReferencePoint] = []
         seen: set[str] = set()
         unmapped: Counter[int] = Counter()  # unknown code -> cells
-        for line, fields, cells in table.rows(1, 2, len(header), threads=threads):
+        for line, fields in table.rows(len(header)):
             point_id = fields[0].strip()
             if not point_id:
                 raise MissingMetadataFieldError("empty point_id", line=line)
@@ -630,13 +611,12 @@ def load_reference_points(
                 if code not in lulc_codes:
                     unmapped[code] += 1
                 series[year] = lulc_codes.class_for_code(code)
-            lon, lat = _floats(cells, ("lon", "lat"), line)
             try:
                 points.append(
                     ReferencePoint(
                         point_id=point_id,
-                        lon=lon,
-                        lat=lat,
+                        lon=_parse_float(fields[1], "lon", line),
+                        lat=_parse_float(fields[2], "lat", line),
                         lulc_series=series,
                         embeddings=embeddings.year_map(point_id, window),
                     )
@@ -708,6 +688,5 @@ def load_dataset(
         lulc_years=lulc_years,
         window=window,
         lulc_codes=codes,
-        threads=threads,
     )
     return Dataset(sites=tuple(sites), references=tuple(references), window=window), skipped

@@ -47,7 +47,6 @@ from .errors import (
     InvalidValueError,
     NonFiniteError,
     SeparationInfeasibleError,
-    ZeroVectorError,
 )
 from .ingest import DEFAULT_LULC_CODES, Dataset, LULCCodeMap
 
@@ -173,29 +172,6 @@ class GroundTruth:
     #: Noise-free similarity of each site to the true secondary-forest
     #: centroid, per year.
     expected_similarity: Mapping[str, Mapping[int, float]]
-
-
-def oracle_similarity(a, b) -> float:
-    """Cosine similarity by naive summation.
-
-    Deliberately independent of the engine's vector code path: plain
-    Python loops, no shared helpers. Accepts EmbeddingVectors or any
-    float sequences.
-    """
-    va = [float(x) for x in (a.values if isinstance(a, EmbeddingVector) else a)]
-    vb = [float(x) for x in (b.values if isinstance(b, EmbeddingVector) else b)]
-    if len(va) != len(vb):
-        raise InvalidValueError(f"length mismatch: {len(va)} vs {len(vb)}")
-    dot = 0.0
-    norm_a = 0.0
-    norm_b = 0.0
-    for x, y in zip(va, vb):
-        dot += x * y
-        norm_a += x * x
-        norm_b += y * y
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ZeroVectorError("zero vector in oracle similarity")
-    return dot / (math.sqrt(norm_a) * math.sqrt(norm_b))
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

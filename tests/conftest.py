@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from regrow import pool
 from regrow.core import EmbeddingVector, SiteRecord, Strategy
+from regrow.errors import InvalidValueError, ZeroVectorError
 from regrow.references import ReferenceYearPolicy, build_reference_set, classify_points
 from regrow.synthetic import SynthConfig, generate_world
 
@@ -17,6 +20,29 @@ def basis(dim: int, axis: int, scale: float = 1.0) -> EmbeddingVector:
     v = np.zeros(dim)
     v[axis] = scale
     return EmbeddingVector(v)
+
+
+def oracle_similarity(a, b) -> float:
+    """Cosine similarity by naive summation.
+
+    Deliberately independent of the engine's vector code path: plain
+    Python loops, no shared helpers. Accepts EmbeddingVectors or any
+    float sequences.
+    """
+    va = [float(x) for x in (a.values if isinstance(a, EmbeddingVector) else a)]
+    vb = [float(x) for x in (b.values if isinstance(b, EmbeddingVector) else b)]
+    if len(va) != len(vb):
+        raise InvalidValueError(f"length mismatch: {len(va)} vs {len(vb)}")
+    dot = 0.0
+    norm_a = 0.0
+    norm_b = 0.0
+    for x, y in zip(va, vb):
+        dot += x * y
+        norm_a += x * x
+        norm_b += y * y
+    if norm_a == 0.0 or norm_b == 0.0:
+        raise ZeroVectorError("zero vector in oracle similarity")
+    return dot / (math.sqrt(norm_a) * math.sqrt(norm_b))
 
 
 def count_pools(mp: pytest.MonkeyPatch, runs: list) -> None:

@@ -35,7 +35,7 @@ from regrow.references import (
     classify_stability,
     detect_outliers,
 )
-from regrow.synthetic import SynthConfig, generate_world, oracle_similarity
+from regrow.synthetic import SynthConfig, generate_world
 from regrow.trajectories import (
     GroupBy,
     aggregate_trajectories,
@@ -44,6 +44,8 @@ from regrow.trajectories import (
     compute_baselines,
 )
 from regrow.cli import main as cli_main
+
+from conftest import oracle_similarity
 
 
 def equal_rates(rate):

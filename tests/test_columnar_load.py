@@ -90,7 +90,7 @@ def test_a_clean_load_makes_no_row_objects(world, tmp_path, monkeypatch):
         mp.setattr(ingest, "_POOL_CELLS", 1)
         mp.setattr(ingest, "_PARSE_CELLS", 16)
         pooled = _load(world, threads=2)
-    assert len(runs) == 5 and min(runs) >= 2  # every numeric table, several blocks
+    assert len(runs) == 3 and min(runs) >= 2  # every keyed table, several blocks
 
     texts = {name: (world / name).read_text(encoding="utf-8") for name in FILES}
     shuffled = apply_mutations(texts, [("shuffle", name, 1, 0, "") for name in FILES])

@@ -296,9 +296,10 @@ class TestLocatedErrors:
         assert (err.value.file, err.value.line) == (str(world / name), line)
         assert str(err.value).startswith(f"{world / name}: line {line}: ")
 
-    def test_non_utf8_file_is_a_located_parse_error(self, tmp_path):
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_non_utf8_file_is_a_located_parse_error(self, tmp_path, end):
         path = embeddings_csv(tmp_path, ["s1,2020,0.1,0.2,0.3,0.4", "s2,2020,0.5,0.6,0.7,0.8"])
-        path.write_bytes(path.read_bytes().replace(b"0.7", b"0\xff7"))
+        path.write_bytes(path.read_bytes().replace(b"0.7", b"0\xff7").replace(b"\n", end))
         with pytest.raises(CsvParseError) as err:
             load_embeddings(path)
         assert (err.value.file, err.value.line) == (str(path), 3)
@@ -314,11 +315,30 @@ class TestLocatedErrors:
         assert err.value.file == str(path) and isinstance(err.value.line, int)
 
     def test_synth_world_is_parsed_in_bulk(self, small_world, world_dir, monkeypatch):
-        def cell_by_cell(*args):
-            raise AssertionError("numeric cell parsed one at a time")
+        parse_float = ingest._parse_float
+        parsed = set()
+
+        def cell_by_cell(text, what, line):
+            parsed.add(what)
+            return parse_float(text, what, line)
 
         monkeypatch.setattr(ingest, "_parse_float", cell_by_cell)
         loaded, _ = load_world(world_dir)
         assert loaded.sites == small_world[0].sites
+        # Only the small sites.csv and reference_points.csv go cell by cell.
+        assert parsed == {"lon", "lat", "area_ha"}
         embedding = next(iter(loaded.sites[0].embeddings.values())).values
         assert not embedding.flags.writeable and not embedding.flags.owndata
+
+    def test_a_clean_load_bulk_parses_exactly_the_keyed_tables(self, world_dir, monkeypatch):
+        parse_bulk = ingest._Table._parse_bulk
+        bulk = {}
+
+        def recording_parse_bulk(table, *args):
+            bulk[table.path.name] = result = parse_bulk(table, *args)
+            return result
+
+        monkeypatch.setattr(ingest._Table, "_parse_bulk", recording_parse_bulk)
+        load_world(world_dir)
+        assert sorted(bulk) == ["covariates.csv", "embeddings.csv", "spectral.csv"]
+        assert all(matrix is not None for matrix in bulk.values())

@@ -47,12 +47,12 @@ def test_bulk_parse_holds_the_numeric_text_a_block_at_a_time(tmp_path):
     text = "\n".join(lines) + "\n"
     path.write_text(text, encoding="utf-8")
     table = ingest._Table(path)
+    slots = np.arange(n)
 
     def parse():
-        for _, _, cells in table.rows(2, dim, dim + 2, threads=1):
-            assert isinstance(cells, np.ndarray)  # bulk-parsed, not cell by cell
+        assert table._parse_bulk(dim, 1, slots) is not None  # no anomaly: parsed in bulk
 
-    # The parse holds one block of text and values at a time: neither the
-    # numeric text once over nor a list of every row's other fields.
+    # The parse holds one block of text and values at a time, not the
+    # numeric text once over.
     assert n * dim > ingest._POOL_CELLS
     assert _traced_peak(parse) < len(text) / 4

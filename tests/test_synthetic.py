@@ -15,11 +15,10 @@ from regrow.references import classify_stability
 from regrow.synthetic import (
     SynthConfig,
     generate_world,
-    oracle_similarity,
     write_world,
 )
 
-from conftest import vec
+from conftest import oracle_similarity, vec
 
 
 def equal_rates(rate):
