@@ -221,10 +221,11 @@ _SYNTH_RULES = (
 
 def _config_lines(path: str | Path):
     """(key, value text, 1-based line) of each setting in a config file."""
-    # Lines end at \n, \r\n or \r, as in the CSV tables; not at the other
-    # breaks that str.splitlines knows, such as a form feed.
-    text = ingest.read_utf8(path, InvalidValueError).replace("\r\n", "\n").replace("\r", "\n")
-    for lineno, raw in enumerate(text.split("\n"), 1):
+    # Lines end where the CSV tables' rows end, at \n, \r\n or \r; not at the
+    # other breaks that str.splitlines knows, such as a form feed.
+    data, starts, ends = ingest.read_lines(path, InvalidValueError)
+    for lineno, (a, b) in enumerate(zip(starts.tolist(), ends.tolist()), 1):
+        raw = data[a:b].decode()
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -9,6 +9,7 @@ here in order, so its bytes do not depend on the worker count.
 
 from __future__ import annotations
 
+import io
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -50,8 +51,12 @@ def _row_cells(row: Sequence) -> int:
     return sum(v.size if isinstance(v, np.ndarray) else 1 for v in row)
 
 
-def _format_rows(rows: Sequence[Sequence]) -> str:
-    return "".join(",".join(format_cell(v) for v in row) + "\n" for row in rows)
+def _format_rows(rows: Sequence[Sequence]) -> bytes:
+    """The UTF-8 lines of ``rows``, encoded one at a time into one buffer."""
+    out = io.BytesIO()
+    for row in rows:
+        out.write((",".join(format_cell(v) for v in row) + "\n").encode())
+    return out.getvalue()
 
 
 def write_csv(
@@ -73,8 +78,7 @@ def write_csv(
     slabs = iter_jobs(_format_rows, [(rows[a:a + step],) for a in range(0, len(rows), step)],
                       threads)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for text in slabs:
-            fh.write(text)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        fh.writelines(slabs)
     return path

@@ -22,19 +22,22 @@ Parse contract:
   fault (line 1 is the header). An error about a table as a whole, such as
   a duplicate class name in lulc_codes.csv, names the file only.
 
-Each file is read once, and decoded by ``read_utf8``. The three
-``id,year,...`` tables hold nearly all of the input's bytes; their numbers
-are parsed in bulk by ``np.fromstring``, which rounds as ``float()`` does,
-into one read-only matrix, ``_PARSE_CELLS`` cells of rows at a time: each
-such row block is one job of ``pool.iter_jobs``, on the worker pool for a
-table of more than ``_POOL_CELLS`` cells (``threads`` caps it, as
-everywhere), each worker writing its rows of one shared matrix. Beyond the
-file's text and the matrix, a parse holds one block of text and values
-(~2 MB) per worker. Such a table is read keys first: one pass cuts each
-record's id and year from its head, and their sort gives each record its
-row of the matrix, so the rows come out in (id, year) order and each id's
-years are one ``YearMap`` view; the ``CovariateSet`` and ``SpectralIndices``
-rules then run once over the matrix. No row is wrapped in an object.
+Each file is read once, as bytes, by ``read_lines``, which finds its line
+ends and checks that it is UTF-8 without decoding it whole; an ASCII file is
+not decoded at all. The three ``id,year,...`` tables hold nearly all of the
+input's bytes; their numbers are parsed in bulk by ``np.fromstring``, which
+rounds as ``float()`` does, from the file's bytes into one read-only matrix,
+``_PARSE_CELLS`` cells of rows at a time: each such row block is one job of
+``pool.iter_jobs``, on the worker pool for a table of more than
+``_POOL_CELLS`` cells (``threads`` caps it, as everywhere), each worker
+reading its rows from the bytes it inherits and writing them to one shared
+matrix. A parse holds the file's bytes, the matrix, and one block of text
+and values (~3 MB) per worker: no decoded copy of the file and no string per
+row. Such a table is read keys first: one pass cuts each row's id and year
+from its head, and their sort gives each row its place in the matrix, so the
+rows come out in (id, year) order and each id's years are one ``YearMap``
+view; each block's rows are checked against the ``CovariateSet`` and
+``SpectralIndices`` rules as they are parsed. No row is wrapped in an object.
 Anything unusual (a quoted file, a bad year, a repeated key, a wrong field
 count, a cell numpy cannot read, blanks in a cell, a non-finite value, a
 broken rule) sends the table cell by cell, in file order, which raises the
@@ -51,6 +54,7 @@ shuffled input yields an identical Dataset.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import logging
@@ -108,6 +112,11 @@ _POOL_CELLS = 300_000
 #: 195 MB with 256k, 231 MB with 1M and 292 MB with the whole table as one
 #: block.
 _PARSE_CELLS = 65_536
+
+#: Bytes of a file that one step of a scan reads: the search for its line
+#: ends and, in a file that is not ASCII, its UTF-8 check. Each step's
+#: temporaries are a few times this size.
+_SCAN_BYTES = 1 << 20
 
 #: Characters of a cell that an error message echoes.
 _ECHO_CHARS = 200
@@ -193,62 +202,106 @@ class FilterReport:
     stages: tuple[tuple[str, int, int], ...]  # (reason, dropped, remaining)
 
 
-def read_utf8(path: str | Path, error: type[RegrowError]) -> str:
-    """The text of a UTF-8 file. A byte that is not UTF-8 raises ``error``
-    at the file and the line of the byte, lines ending at ``\\n``, ``\\r\\n``
-    and lone ``\\r``.
+def _offsets(u: np.ndarray, byte: int) -> np.ndarray:
+    """The offsets of ``byte`` in the uint8 array ``u``, ``_SCAN_BYTES`` at a time."""
+    return np.concatenate([np.flatnonzero(u[a:a + _SCAN_BYTES] == byte) + a
+                           for a in range(0, len(u), _SCAN_BYTES)] + [np.empty(0, np.intp)])
+
+
+def _line_bounds(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends): the offsets of each line of ``data``, its line end
+    excluded. A line ends at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as in
+    ``csv``; a line end at the end of the data starts no further line."""
+    u = np.frombuffer(data, np.uint8)
+    ends = _offsets(u, ord("\n"))
+    width = np.ones_like(ends)  # bytes of each line end
+    if b"\r" in data:
+        cr, lf = _offsets(u, ord("\r")), ends
+        lone = lf[~np.isin(lf - 1, cr)]  # each \n that is not the end of a \r\n
+        ends = np.concatenate([cr, lone])
+        width = np.concatenate([1 + np.isin(cr + 1, lf), np.ones_like(lone)])
+        order = np.argsort(ends)
+        ends, width = ends[order], width[order]
+    starts = np.concatenate([[0], ends + width])
+    ends = np.append(ends, len(data))
+    if starts[-1] == len(data):
+        starts, ends = starts[:-1], ends[:-1]
+    return starts, ends
+
+
+def _utf8_error(data: bytes) -> UnicodeDecodeError | None:
+    """The first UTF-8 error of ``data``, its ``start`` an offset in ``data``;
+    None if there is none. ASCII data is not decoded at all, any other is
+    decoded ``_SCAN_BYTES`` at a time, and nothing decoded is kept."""
+    if data.isascii():
+        return None
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    for a in range(0, len(data), _SCAN_BYTES):
+        try:
+            decoder.decode(data[a:a + _SCAN_BYTES], a + _SCAN_BYTES >= len(data))
+        except UnicodeDecodeError as exc:
+            # The decoder held back the bytes of a character cut at ``a``.
+            exc.start += a - len(decoder.buffer)
+            return exc
+    return None
+
+
+def read_lines(path: str | Path, error: type[RegrowError]) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """The bytes of a UTF-8 file and the offsets of its lines, as
+    ``_line_bounds`` finds them: line ``i + 1`` is ``data[starts[i]:ends[i]]``.
+
+    The whole file is never decoded. A byte that is not UTF-8 raises
+    ``error`` at the file and the line of the byte.
     """
     data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[:exc.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise error(f"not UTF-8 ({exc.reason})", line=line, file=str(path)) from None
+    starts, ends = _line_bounds(data)
+    exc = _utf8_error(data)
+    if exc is not None:
+        line = int(np.searchsorted(starts, exc.start, side="right"))
+        raise error(f"not UTF-8 ({exc.reason})", line=line, file=str(path))
+    return data, starts, ends
 
 
 class _Table:
     """One input CSV, read once: its stripped header and its non-blank data rows.
 
-    Use it as a context manager: a RegrowError raised inside the ``with``
-    block is located at this file and, unless it names its own line, at the
-    line being read (1 while the header is checked, then each row's line in
-    turn, none once every row has been read).
+    An unquoted file is kept as its bytes and the offsets of its rows; a row
+    is decoded only when ``rows`` yields it. A quoted file is read by
+    ``csv``. Use the table as a context manager: a RegrowError raised inside
+    the ``with`` block is located at this file and, unless it names its own
+    line, at the line being read (1 while the header is checked, then each
+    row's line in turn, none once every row has been read). The file's bytes
+    are let go when the block ends.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.line: int | None = 1
-        text = read_utf8(self.path, CsvParseError)
-        self._quoted = '"' in text
+        data, starts, ends = read_lines(self.path, CsvParseError)
+        if not len(starts):
+            raise CsvParseError("file is empty (no header row)", line=1, file=str(self.path))
+        self._quoted = b'"' in data
         if self._quoted:
             # Quoted fields may hold commas and line breaks: csv splits them.
-            reader = csv.reader(io.StringIO(text, newline=""))
+            reader = csv.reader(io.StringIO(data.decode(), newline=""))
             try:
-                records = list(reader)
+                header, *records = reader  # a quote makes one row at least
             except csv.Error as exc:  # e.g. an unclosed quote past the field limit
                 raise CsvParseError(str(exc), line=reader.line_num, file=str(self.path)) from None
+            # Blank records are skipped but keep their line numbers, as csv does.
+            self._records = [(i, rec) for i, rec in enumerate(records, start=2) if rec]
         else:
-            if "\r" in text:
-                text = text.replace("\r\n", "\n").replace("\r", "\n")
-            records = text.split("\n")
-            if records[-1] == "":
-                records.pop()
-        del text
-        if not records:
-            raise CsvParseError("file is empty (no header row)", line=1, file=str(self.path))
-        header = records[0]
-        if isinstance(header, str):
-            header = header.split(",") if header else []
+            header = data[starts[0]:ends[0]].decode().split(",") if ends[0] > starts[0] else []
+            rows = np.flatnonzero(ends[1:] > starts[1:]) + 1  # blank rows keep their lines
+            self._data, self._lines = data, rows + 1
+            self._starts, self._ends = starts[rows], ends[rows]
         self.header = [h.strip() for h in header]
-        # (line, record): the record's text, or its fields for a quoted file.
-        # Blank records are skipped but keep their line numbers, as csv does.
-        self._records = [(i, rec) for i, rec in enumerate(records[1:], start=2) if rec]
 
     def __enter__(self) -> "_Table":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
+        self._data = self._records = None
         if isinstance(exc, RegrowError):
             exc.locate(self.path, self.line)
         return False
@@ -260,9 +313,15 @@ class _Table:
         A row must have ``width`` fields (at least ``width`` if not
         ``exact``), else MissingColumnError.
         """
-        for line, rec in self._records:
+        if self._quoted:
+            records = self._records
+        else:
+            data = self._data
+            records = ((line, data[a:b].decode().split(","))
+                       for line, a, b in zip(self._lines.tolist(), self._starts.tolist(),
+                                             self._ends.tolist()))
+        for line, row in records:
             self.line = line
-            row = rec if self._quoted else rec.split(",")
             if (len(row) != width) if exact else (len(row) < width):
                 raise MissingColumnError(f"expected {width} fields, got {len(row)}", line=line)
             yield line, row
@@ -275,16 +334,24 @@ class _Table:
         """
         if self._quoted:
             return None
-        # Only the two head fields of a record are kept, never its numbers.
-        heads = [rec.split(",", 2)[:2] for _, rec in self._records]
-        ids = [head[0] for head in heads]
-        try:
-            years = np.array([int(head[1]) for head in heads], dtype=np.int64)
-        except (IndexError, ValueError, OverflowError):
-            return None
-        unique = sorted(set(ids))
+        # Only the two head fields of a row are cut, never its numbers.
+        data, n = self._data, len(self._starts)
+        first: dict[bytes, int] = {}  # each id, numbered in order of first sight
+        codes, years = np.empty(n, np.int64), np.empty(n, np.int64)
+        for i, (a, b) in enumerate(zip(self._starts.tolist(), self._ends.tolist())):
+            comma = data.find(b",", a, b)
+            if comma < 0:
+                return None
+            end = data.find(b",", comma + 1, b)
+            codes[i] = first.setdefault(data[a:comma], len(first))
+            try:
+                years[i] = int(data[comma + 1:b if end < 0 else end].decode())
+            except (ValueError, OverflowError):
+                return None
+        names = [name.decode() for name in first]
+        unique = sorted(names)
         rank = dict(zip(unique, range(len(unique))))
-        codes = np.fromiter(map(rank.__getitem__, ids), np.int64, len(ids))
+        codes = np.array([rank[name] for name in names], np.int64)[codes]
         order = np.lexsort((years, codes))  # records in (id, year) order
         codes, years = codes[order], years[order]
         if ((codes[1:] == codes[:-1]) & (years[1:] == years[:-1])).any():
@@ -293,19 +360,21 @@ class _Table:
         slots[order] = np.arange(len(order))
         return tuple(map(unique.__getitem__, codes.tolist())), tuple(years.tolist()), slots
 
-    def _parse_bulk(self, count: int, threads: int | None, slots: np.ndarray):
+    def _parse_bulk(self, count: int, kind: type, threads: int | None, slots: np.ndarray):
         """The ``count`` numbers after the id and year of every row parsed in
         bulk into a read-only (rows, count) matrix, record i at row
-        ``slots[i]``, or None on any anomaly.
+        ``slots[i]``, or None on any anomaly or a row that breaks a rule of
+        ``kind``.
 
         The rows are cut into blocks of ``_PARSE_CELLS`` cells, one job each
         (see ``_parse_block``). A table of more than ``_POOL_CELLS`` cells
         hands them to the pool: its matrix is an anonymous mapping made
-        before the workers fork, so only each block's flag comes back
+        before the workers fork, and the workers read their rows from the
+        file's bytes they inherit, so only each block's flag comes back
         through a pipe. The first block with an anomaly ends the parse, and
         the table goes cell by cell.
         """
-        n = len(self._records)
+        n = len(self._starts)
         if n * count > _POOL_CELLS:
             matrix = np.frombuffer(mmap.mmap(-1, n * count * 8)).reshape(n, count)
         else:
@@ -313,7 +382,7 @@ class _Table:
             # In process; min keeps a cap below 1, which the pool rejects.
             threads = 1 if threads is None else min(threads, 1)
         step = max(1, _PARSE_CELLS // count)
-        blocks = [(self._records, a, min(a + step, n), count, matrix, slots)
+        blocks = [(self, a, min(a + step, n), count, kind, matrix, slots)
                   for a in range(0, n, step)]
         if not all(iter_jobs(_parse_block, blocks, threads)):
             return None
@@ -321,21 +390,24 @@ class _Table:
         return matrix
 
 
-def _parse_block(records, a: int, b: int, count: int, out, slots) -> bool:
-    """Parse the ``count`` numbers after the id and year of each record of
-    the block ``records[a:b]`` into their rows ``slots[a:b]`` of ``out``.
+def _parse_block(table: _Table, a: int, b: int, count: int, kind: type, out, slots) -> bool:
+    """Parse the ``count`` numbers after the id and year of each of the rows
+    ``a:b`` of an unquoted ``table`` into their rows ``slots[a:b]`` of ``out``.
 
     Returns whether the block was clean: False on a row without exactly
-    ``count + 2`` fields, a cell numpy cannot parse or that holds blanks, or
-    a non-finite value.
+    ``count + 2`` fields, a cell numpy cannot parse or that holds blanks, a
+    non-finite value, or a row that breaks a rule of ``kind``.
     """
-    block = records[a:b]
-    if any(rec.count(",") != count + 1 for _, rec in block):
+    data = table._data
+    bounds = list(zip(table._starts[a:b].tolist(), table._ends[a:b].tolist()))
+    if any(data.count(b",", s, e) != count + 1 for s, e in bounds):
         return False
-    joined = ",".join(rec.split(",", 2)[2] for _, rec in block)
+    # A row's numbers follow its second comma. np.fromstring takes bytes, not
+    # a memoryview, so they are joined into one bytes object.
+    joined = b",".join(data[data.find(b",", data.find(b",", s) + 1) + 1:e] for s, e in bounds)
     # numpy, like float(), skips blanks around a number, but it reads a
     # blank cell as -1; cells with blanks are left to the cell-by-cell path.
-    if any(blank in joined for blank in " \t\v\f"):
+    if any(blank in joined for blank in b" \t\v\f"):
         return False
     try:
         values = np.fromstring(joined, sep=",")
@@ -343,7 +415,10 @@ def _parse_block(records, a: int, b: int, count: int, out, slots) -> bool:
         return False
     if values.size != (b - a) * count or not np.isfinite(values).all():
         return False
-    out[slots[a:b]] = values.reshape(b - a, count)
+    values = values.reshape(b - a, count)
+    if not kind.rows_pass(values):
+        return False
+    out[slots[a:b]] = values
     return True
 
 
@@ -438,8 +513,8 @@ def _load_keyed(table: _Table, what: str, kind: type, names: Sequence[str], *,
     keys = table.sorted_keys()
     if keys is not None:
         ids, years, slots = keys
-        matrix = table._parse_bulk(count, threads, slots)
-        if matrix is not None and kind.rows_pass(matrix):
+        matrix = table._parse_bulk(count, kind, threads, slots)
+        if matrix is not None:
             return YearTable(ids, years, matrix, kind)
     out = {}
     for line, (rid, year, *cells) in table.rows(count + 2, exact=exact):
