@@ -17,6 +17,11 @@ from .errors import TooFewPointsError
 
 __all__ = ["KMeansResult", "kmeans", "FoldAssignment", "spatial_kfold"]
 
+#: Lloyd iterations after which ``kmeans`` stops.
+_MAX_ITER = 300
+#: ``kmeans`` stops once no centroid moves farther than this.
+_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class KMeansResult:
@@ -52,13 +57,11 @@ def kmeans(
     points: Sequence[tuple[float, float]] | np.ndarray,
     k: int,
     seed: int,
-    max_iter: int = 300,
-    tol: float = 1e-6,
 ) -> KMeansResult:
     """Lloyd's algorithm with k-means++ initialization seeded by ``seed``.
 
-    Terminates when the largest centroid shift drops below ``tol`` or
-    after ``max_iter`` iterations. Empty clusters are repaired by
+    Terminates when the largest centroid shift drops below ``_TOL`` (1e-6)
+    or after ``_MAX_ITER`` (300) iterations. Empty clusters are repaired by
     reseeding to the point farthest from its assigned centroid.
     """
     X = np.asarray(points, dtype=np.float64)
@@ -73,7 +76,7 @@ def kmeans(
     assignment = np.zeros(n, dtype=np.int64)
     history: list[float] = []
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, _MAX_ITER + 1):
         sq = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         assignment = sq.argmin(axis=1)
         dist_own = sq[np.arange(n), assignment]
@@ -98,7 +101,7 @@ def kmeans(
                 new_centroids[j] = members.mean(axis=0)
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
-        if shift < tol:
+        if shift < _TOL:
             break
 
     sq = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)

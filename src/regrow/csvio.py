@@ -70,7 +70,9 @@ def write_csv(
     ``_SLAB_CELLS`` cells (one row at least), which ``pool.iter_jobs``
     formats: here with ``threads`` 1 (the default) or a single slab, else on
     up to ``threads`` worker processes (None: every available core). Each
-    slab is written as soon as it and the slabs before it are done.
+    slab is written as soon as it and the slabs before it are done. An error
+    while a slab is formatted or written removes the file and is raised, so
+    no partial table is left behind.
     """
     path = Path(path)
     rows = list(rows)
@@ -78,7 +80,12 @@ def write_csv(
     slabs = iter_jobs(_format_rows, [(rows[a:a + step],) for a in range(0, len(rows), step)],
                       threads)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        fh.writelines(slabs)
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write((",".join(header) + "\n").encode())
+            fh.writelines(slabs)
+    except BaseException:  # an interrupt, too, leaves no partial file
+        path.unlink()
+        raise
     return path

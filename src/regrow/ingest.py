@@ -69,6 +69,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
+    KNOWN_LULC_NAMES,
     CovariateSet,
     EmbeddingVector,
     LULCClass,
@@ -156,22 +157,9 @@ class LULCCodeMap:
         return sorted(self._by_code.items())
 
 
-#: Placeholder defaults used by the synthetic generator and tests; real data
-#: supplies its own lulc_codes.csv.
-DEFAULT_LULC_CODES = LULCCodeMap(
-    {
-        1: "PrimaryForest",
-        2: "SecondaryForest",
-        3: "ForestFormation",
-        4: "ForestPlantation",
-        5: "Wetland",
-        6: "SugarCane",
-        7: "Coffee",
-        8: "Grassland",
-        9: "Pasture",
-        10: "Urban",
-    }
-)
+#: Placeholder defaults used by the synthetic generator and tests, the known
+#: classes numbered from 1; real data supplies its own lulc_codes.csv.
+DEFAULT_LULC_CODES = LULCCodeMap(dict(enumerate(KNOWN_LULC_NAMES, start=1)))
 
 
 @dataclass(frozen=True)
@@ -307,8 +295,8 @@ class _Table:
         return False
 
     def rows(self, width: int, *, exact: bool = True):
-        """Yield ``(line, fields)`` for each data row, in file order: the
-        row's text fields, or a quoted file's fields as ``csv`` reads them.
+        """Yield the fields of each data row, in file order: the row's text
+        fields, or a quoted file's fields as ``csv`` reads them.
 
         A row must have ``width`` fields (at least ``width`` if not
         ``exact``), else MissingColumnError.
@@ -323,8 +311,8 @@ class _Table:
         for line, row in records:
             self.line = line
             if (len(row) != width) if exact else (len(row) < width):
-                raise MissingColumnError(f"expected {width} fields, got {len(row)}", line=line)
-            yield line, row
+                raise MissingColumnError(f"expected {width} fields, got {len(row)}")
+            yield row
         self.line = None
 
     def sorted_keys(self):
@@ -433,21 +421,21 @@ def _bad_header(expected, got: Sequence[str]) -> MissingColumnError:
     return MissingColumnError(f"expected header {expected}, got {[_clip(c) for c in got]}")
 
 
-def _parse_float(text: str, what: str, line: int) -> float:
+def _parse_float(text: str, what: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise CsvParseError(f"bad {what}: {_clip(text)!r}", line=line) from None
+        raise CsvParseError(f"bad {what}: {_clip(text)!r}") from None
     if not math.isfinite(value):
-        raise NonFiniteError(f"non-finite {what}: {_clip(text)!r}", line=line)
+        raise NonFiniteError(f"non-finite {what}: {_clip(text)!r}")
     return value
 
 
-def _parse_int(text: str, what: str, line: int) -> int:
+def _parse_int(text: str, what: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise CsvParseError(f"bad {what}: {_clip(text)!r}", line=line) from None
+        raise CsvParseError(f"bad {what}: {_clip(text)!r}") from None
 
 
 def load_lulc_codes(path: str | Path) -> LULCCodeMap:
@@ -455,10 +443,10 @@ def load_lulc_codes(path: str | Path) -> LULCCodeMap:
         if table.header[:2] != ["code", "name"]:
             raise _bad_header("code,name", table.header)
         entries: dict[int, str] = {}
-        for line, (code_text, name) in table.rows(2):
-            code = _parse_int(code_text, "code", line)
+        for code_text, name in table.rows(2):
+            code = _parse_int(code_text, "code")
             if code in entries:
-                raise DuplicateKeyError(f"duplicate LULC code {code}", line=line)
+                raise DuplicateKeyError(f"duplicate LULC code {code}")
             entries[code] = name.strip()
         return LULCCodeMap(entries)
 
@@ -517,15 +505,15 @@ def _load_keyed(table: _Table, what: str, kind: type, names: Sequence[str], *,
         if matrix is not None:
             return YearTable(ids, years, matrix, kind)
     out = {}
-    for line, (rid, year, *cells) in table.rows(count + 2, exact=exact):
-        key = (rid, _parse_int(year, "year", line))
+    for rid, year, *cells in table.rows(count + 2, exact=exact):
+        key = (rid, _parse_int(year, "year"))
         if key in out:
-            raise DuplicateKeyError(f"duplicate {what} key {key}", line=line)
+            raise DuplicateKeyError(f"duplicate {what} key {key}")
         try:
-            values = [_parse_float(text, name, line) for text, name in zip(cells, names)]
+            values = [_parse_float(text, name) for text, name in zip(cells, names)]
             out[key] = kind(values) if kind is EmbeddingVector else kind(*values)
         except InvalidValueError as exc:
-            raise CsvParseError(str(exc), line=line) from None
+            raise CsvParseError(str(exc)) from None
     return YearTable.from_mapping(out, kind)
 
 
@@ -597,17 +585,17 @@ def load_sites(
         sites: list[SiteRecord] = []
         no_embeddings: list[str] = []
         seen: set[str] = set()
-        for line, (site_id, lon, lat, area_ha, start_year, strategy, start_lulc) in table.rows(7):
+        for site_id, lon, lat, area_ha, start_year, strategy, start_lulc in table.rows(7):
             site_id = site_id.strip()
             if not site_id:
-                raise MissingMetadataFieldError("empty site_id", line=line)
+                raise MissingMetadataFieldError("empty site_id")
             if site_id in seen:
-                raise DuplicateKeyError(f"duplicate site_id {site_id!r}", line=line)
+                raise DuplicateKeyError(f"duplicate site_id {site_id!r}")
             seen.add(site_id)
             for name, text in (("lon", lon), ("lat", lat), ("area_ha", area_ha),
                                ("start_year", start_year)):
                 if not text.strip():
-                    raise MissingMetadataFieldError(f"missing {name} for {site_id}", line=line)
+                    raise MissingMetadataFieldError(f"missing {name} for {site_id}")
             site_embeddings = embeddings.year_map(site_id, window)
             if not site_embeddings:
                 no_embeddings.append(site_id)
@@ -616,10 +604,10 @@ def load_sites(
             try:
                 site = SiteRecord(
                     site_id=site_id,
-                    centroid_lon=_parse_float(lon, "lon", line),
-                    centroid_lat=_parse_float(lat, "lat", line),
-                    area_ha=_parse_float(area_ha, "area_ha", line),
-                    start_year=_parse_int(start_year, "start_year", line),
+                    centroid_lon=_parse_float(lon, "lon"),
+                    centroid_lat=_parse_float(lat, "lat"),
+                    area_ha=_parse_float(area_ha, "area_ha"),
+                    start_year=_parse_int(start_year, "start_year"),
                     strategy=parse_strategy(strategy),
                     embeddings=site_embeddings,
                     spectral=spectral.year_map(site_id, window),
@@ -627,7 +615,7 @@ def load_sites(
                     start_lulc=lulc_codes.class_for_name(start_lulc_text) if start_lulc_text else None,
                 )
             except InvalidValueError as exc:
-                raise CsvParseError(str(exc), line=line) from None
+                raise CsvParseError(str(exc)) from None
             sites.append(site)
     if no_embeddings:
         log.warning(
@@ -662,7 +650,7 @@ def load_reference_points(
         for idx, name in enumerate(header[3:], start=3):
             if not name.startswith("lulc_"):
                 raise MissingColumnError(f"unexpected column {_clip(name)!r}")
-            year = _parse_int(name[len("lulc_"):], f"year in column {_clip(name)!r}", 1)
+            year = _parse_int(name[len("lulc_"):], f"year in column {_clip(name)!r}")
             if year_cols.setdefault(year, idx) != idx:
                 raise DuplicateKeyError(f"duplicate column for year {year}: {_clip(name)!r}")
         for year in range(lulc_years[0], lulc_years[1] + 1):
@@ -673,16 +661,16 @@ def load_reference_points(
         points: list[ReferencePoint] = []
         seen: set[str] = set()
         unmapped: Counter[int] = Counter()  # unknown code -> cells
-        for line, fields in table.rows(len(header)):
+        for fields in table.rows(len(header)):
             point_id = fields[0].strip()
             if not point_id:
-                raise MissingMetadataFieldError("empty point_id", line=line)
+                raise MissingMetadataFieldError("empty point_id")
             if point_id in seen:
-                raise DuplicateKeyError(f"duplicate point_id {point_id!r}", line=line)
+                raise DuplicateKeyError(f"duplicate point_id {point_id!r}")
             seen.add(point_id)
             series = {}
             for year, idx in year_cols.items():
-                code = _parse_int(fields[idx], f"lulc_{year}", line)
+                code = _parse_int(fields[idx], f"lulc_{year}")
                 if code not in lulc_codes:
                     unmapped[code] += 1
                 series[year] = lulc_codes.class_for_code(code)
@@ -690,14 +678,14 @@ def load_reference_points(
                 points.append(
                     ReferencePoint(
                         point_id=point_id,
-                        lon=_parse_float(fields[1], "lon", line),
-                        lat=_parse_float(fields[2], "lat", line),
+                        lon=_parse_float(fields[1], "lon"),
+                        lat=_parse_float(fields[2], "lat"),
                         lulc_series=series,
                         embeddings=embeddings.year_map(point_id, window),
                     )
                 )
             except InvalidValueError as exc:
-                raise CsvParseError(str(exc), line=line) from None
+                raise CsvParseError(str(exc)) from None
     for code, cells in sorted(unmapped.items()):
         log.warning("unmapped LULC code %d kept as Other(%d) in %d cell(s) of %s",
                     code, code, cells, meta_path)

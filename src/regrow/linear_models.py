@@ -3,8 +3,10 @@
 Ridge is solved exactly by the normal equations (intercept unpenalized).
 Logistic is full-batch gradient descent on the softmax cross-entropy with
 an L2 penalty; features are standardized internally using statistics from
-the training data only, and the default step size is derived from a
+the training data only, and the step size is derived from a
 power-iteration bound on the data curvature, so training is deterministic.
+The penalty (``_L2``), the epoch cap (``_MAX_EPOCHS``) and the stopping
+tolerance (``_TOL``) are constants of this module.
 """
 
 from __future__ import annotations
@@ -17,6 +19,13 @@ import numpy as np
 from .errors import SingleClassError, SingularSystemError
 
 __all__ = ["RidgeModel", "train_linear", "LogisticModel", "train_logistic"]
+
+#: L2 penalty on the logistic weights (the bias is not penalized).
+_L2 = 1e-4
+#: Gradient steps after which logistic training stops.
+_MAX_EPOCHS = 500
+#: Logistic training stops early once no gradient entry exceeds this.
+_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -92,21 +101,13 @@ def _curvature_bound(Z: np.ndarray) -> float:
     return lam
 
 
-def train_logistic(
-    features: np.ndarray,
-    labels: Sequence[str],
-    l2: float = 1e-4,
-    learning_rate: float | None = None,
-    lr_decay: float = 0.0,
-    max_epochs: int = 500,
-    tol: float = 1e-7,
-    seed: int = 0,
-) -> LogisticModel:
+def train_logistic(features: np.ndarray, labels: Sequence[str]) -> LogisticModel:
     """Multinomial logistic regression by full-batch gradient descent.
 
-    ``learning_rate=None`` picks 1/L from a curvature bound, which
-    guarantees descent. ``seed`` is accepted for interface uniformity;
-    training starts from zero weights and is deterministic regardless.
+    The L2 penalty is ``_L2`` (1e-4) and the step is 1/L, L a bound on the
+    curvature, which guarantees descent. Training starts from zero weights
+    and stops once no gradient entry exceeds ``_TOL`` (1e-7) or after
+    ``_MAX_EPOCHS`` (500) steps, so it is deterministic.
     """
     X = np.asarray(features, dtype=np.float64)
     y = list(labels)
@@ -123,20 +124,17 @@ def train_logistic(
     scale[scale == 0.0] = 1.0
     Z = (X - mean) / scale
 
-    if learning_rate is None:
-        learning_rate = 1.0 / (0.5 * _curvature_bound(Z) + l2)
-
+    lr = 1.0 / (0.5 * _curvature_bound(Z) + _L2)
     W = np.zeros((p, len(classes)))
     b = np.zeros(len(classes))
-    for epoch in range(max_epochs):
+    for _ in range(_MAX_EPOCHS):
         P = _softmax(Z @ W + b)
         err = P - Y
-        grad_w = Z.T @ err / n + l2 * W
+        grad_w = Z.T @ err / n + _L2 * W
         grad_b = err.mean(axis=0)
-        lr = learning_rate / (1.0 + lr_decay * epoch)
         W -= lr * grad_w
         b -= lr * grad_b
-        if max(float(np.abs(grad_w).max()), float(np.abs(grad_b).max())) < tol:
+        if max(float(np.abs(grad_w).max()), float(np.abs(grad_b).max())) < _TOL:
             break
     return LogisticModel(
         classes=classes,

@@ -229,7 +229,7 @@ def _fit_predict(
     if model is ModelKind.LINEAR:
         return train_linear(X_train, np.asarray(y_train)).predict(X_test)
     if model is ModelKind.LOGISTIC:
-        return train_logistic(X_train, list(y_train), seed=seed).predict(X_test)
+        return train_logistic(X_train, list(y_train)).predict(X_test)
     mode = "regression" if task is Task.FUTURE_SIMILARITY else "classification"
     forest = train_random_forest(
         X_train, y_train, n_trees=n_trees, mode=mode, seed=seed
@@ -254,9 +254,10 @@ def evaluate(
     """Spatial cross-validation over every (model, feature_set) pair.
 
     For each fold: train on the other folds, test on the held-out fold.
-    Imputation means come from training rows only. Test folds left with no
-    usable site are skipped and reported; if every fold is skipped the run
-    fails with FoldTooSmallError.
+    Imputation means come from training rows only. Each feature set's design
+    and imputed folds are built once and shared by every model. Test folds
+    left with no usable site are skipped and warned about once; if every
+    fold is skipped the run fails with FoldTooSmallError.
 
     Each fit has its own seed and shares nothing with the others, so the
     fits run on up to ``threads`` worker processes (None: every available
@@ -267,96 +268,84 @@ def evaluate(
             raise InvalidValueError(f"model {model.value} cannot target task {task.value}")
     if folds.k < 2:
         raise FoldTooSmallError("cross-validation needs at least 2 folds")
+    if not models or not feature_sets:
+        return []
 
-    # Plan every fit, then run them all and score each in the plan's order.
+    # Once per task: the rows, targets and folds, which no feature set changes.
     regression = task is Task.FUTURE_SIMILARITY
-    plans = []  # (model, fs, excluded, skipped, label alphabet, per-fold (fold, n_train, y_test))
-    jobs = []  # _fit_predict arguments, one tuple per planned fold
-    for model in models:
-        for fs in feature_sets:
-            ids, X_all, y_all, excluded = assemble_design(
-                sites, refset, task, fs, horizon=horizon, t0=t0, allow_missing=mean_impute
-            )
-            keep = [i for i, sid in enumerate(ids) if sid in folds.assignment]
-            if not keep:
-                raise FoldTooSmallError("no usable sites after target exclusion")
-            X = X_all[keep]
-            y = [y_all[i] for i in keep]
-            fold_of = np.array([folds.assignment[ids[i]] for i in keep])
-            label_alphabet = sorted(set(y)) if not regression else []
-            fold_plans = []
-            skipped: list[int] = []
-            for fold in range(folds.k):
-                test_mask = fold_of == fold
-                train_mask = ~test_mask
-                if not test_mask.any() or not train_mask.any():
-                    skipped.append(fold)
-                    continue
-                X_train, X_test = X[train_mask], X[test_mask]
-                if mean_impute:
-                    X_train, X_test = _impute(X_train, X_test)
-                y_train = [v for v, m in zip(y, train_mask) if m]
-                y_test = [v for v, m in zip(y, test_mask) if m]
-                child_seed = int(
-                    np.random.SeedSequence(
-                        entropy=seed,
-                        spawn_key=(
-                            list(Task).index(task),
-                            list(ModelKind).index(model),
-                            list(FeatureSet).index(fs),
-                            fold,
-                        ),
-                    ).generate_state(1)[0]
-                )
-                jobs.append((model, task, X_train, y_train, X_test, child_seed, n_trees))
-                fold_plans.append((fold, int(train_mask.sum()), y_test))
-            if not fold_plans:
-                raise FoldTooSmallError(
-                    f"every fold was skipped for {model.value}/{fs.value}"
-                )
-            plans.append((model, fs, excluded, skipped, label_alphabet, fold_plans))
+    designs = [
+        assemble_design(sites, refset, task, fs, horizon=horizon, t0=t0, allow_missing=mean_impute)
+        for fs in feature_sets
+    ]
+    ids, _, y_all, excluded = designs[0]
+    keep = [i for i, sid in enumerate(ids) if sid in folds.assignment]
+    if not keep:
+        raise FoldTooSmallError("no usable sites after target exclusion")
+    y = np.array([y_all[i] for i in keep], dtype=object)  # .tolist() gives back each target
+    fold_of = np.array([folds.assignment[ids[i]] for i in keep])
+    label_alphabet = [] if regression else sorted(set(y))
+    splits = []  # (fold, train rows, test rows) of each fold with rows on both sides
+    skipped: list[int] = []
+    for fold in range(folds.k):
+        test = fold_of == fold
+        if test.any() and not test.all():
+            splits.append((fold, np.flatnonzero(~test), np.flatnonzero(test)))
+        else:
+            skipped.append(fold)
+    if not splits:
+        raise FoldTooSmallError(f"every fold was skipped for {task.value}")
+    if skipped:
+        log.warning("skipped fold(s) %s for %s", skipped, task.value)
 
+    # Once per feature set: each fold's train and test rows, imputed.
+    fold_inputs = []
+    for _, X_all, _, _ in designs:
+        X = X_all[keep]
+        fold_inputs.append([
+            _impute(X[train], X[test]) if mean_impute else (X[train], X[test])
+            for _, train, test in splits
+        ])
+
+    # Per model: a fit of each (feature set, fold), with its own seed.
+    jobs = []
+    for model in models:
+        for fs, inputs in zip(feature_sets, fold_inputs):
+            for (fold, train, _), (X_train, X_test) in zip(splits, inputs):
+                key = (list(Task).index(task), list(ModelKind).index(model),
+                       list(FeatureSet).index(fs), fold)
+                child_seed = int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
+                jobs.append((model, task, X_train, y[train].tolist(), X_test, child_seed, n_trees))
     # Random-forest fits (the slow ones) go to the pool first.
     order = sorted(range(len(jobs)), key=lambda i: jobs[i][0] is not ModelKind.RANDOM_FOREST)
     predictions = iter_jobs(_fit_predict, jobs, threads, order)
     results = []
-    for model, fs, excluded, skipped, label_alphabet, fold_plans in plans:
-        per_fold: list[FoldMetrics] = []
-        for fold, n_train, y_test in fold_plans:
-            y_pred = next(predictions)
-            if regression:
-                metrics = {
-                    "r2": r_squared(np.asarray(y_test), np.asarray(y_pred)),
-                    "mae": mean_absolute_error(np.asarray(y_test), np.asarray(y_pred)),
-                }
-            else:
-                metrics = {
-                    "accuracy": accuracy(y_test, y_pred),
-                    "macro_f1": macro_f1(y_test, y_pred, label_alphabet),
-                }
-            per_fold.append(
-                FoldMetrics(fold=fold, n_train=n_train, n_test=len(y_test), metrics=metrics)
+    for model in models:
+        for fs in feature_sets:
+            per_fold: list[FoldMetrics] = []
+            for fold, train, test in splits:
+                y_pred, y_test = next(predictions), y[test].tolist()
+                if regression:
+                    metrics = {"r2": r_squared(y_test, y_pred),
+                               "mae": mean_absolute_error(y_test, y_pred)}
+                else:
+                    metrics = {"accuracy": accuracy(y_test, y_pred),
+                               "macro_f1": macro_f1(y_test, y_pred, label_alphabet)}
+                per_fold.append(FoldMetrics(fold, len(train), len(test), metrics))
+            aggregate = {}
+            for name in per_fold[0].metrics:
+                vals = np.array([fm.metrics[name] for fm in per_fold])
+                aggregate[name] = (float(vals.mean()), float(vals.std()))
+            results.append(
+                PredictionTaskResult(
+                    task=task,
+                    model=model,
+                    feature_set=fs,
+                    per_fold=tuple(per_fold),
+                    aggregate=aggregate,
+                    skipped_folds=tuple(skipped),
+                    excluded_sites=tuple(excluded),
+                )
             )
-        if skipped:
-            log.warning(
-                "skipped fold(s) %s for %s/%s/%s",
-                skipped, task.value, model.value, fs.value,
-            )
-        aggregate = {}
-        for name in per_fold[0].metrics:
-            vals = np.array([fm.metrics[name] for fm in per_fold])
-            aggregate[name] = (float(vals.mean()), float(vals.std()))
-        results.append(
-            PredictionTaskResult(
-                task=task,
-                model=model,
-                feature_set=fs,
-                per_fold=tuple(per_fold),
-                aggregate=aggregate,
-                skipped_folds=tuple(skipped),
-                excluded_sites=tuple(excluded),
-            )
-        )
     return results
 
 

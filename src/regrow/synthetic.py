@@ -48,7 +48,7 @@ from .errors import (
     NonFiniteError,
     SeparationInfeasibleError,
 )
-from .ingest import DEFAULT_LULC_CODES, Dataset, LULCCodeMap
+from .ingest import DEFAULT_LULC_CODES, Dataset
 
 #: Classes are drawn from this list in order; the first three are required
 #: whenever sites are generated (reference, baseline, and start classes).
@@ -401,7 +401,6 @@ def write_world(
     dataset: Dataset,
     truth: GroundTruth,
     out_dir: str | Path,
-    lulc_codes: LULCCodeMap = DEFAULT_LULC_CODES,
     on_write=None,
     threads: int | None = None,
 ) -> list[Path]:
@@ -469,7 +468,7 @@ def write_world(
     )
 
     lulc_years = sorted({y for p in dataset.references for y in p.lulc_series})
-    name_to_code = {cls.name: code for code, cls in lulc_codes.entries()}
+    name_to_code = {cls.name: code for code, cls in DEFAULT_LULC_CODES.entries()}
     write(
         "reference_points.csv",
         ["point_id", "lon", "lat"] + [f"lulc_{y}" for y in lulc_years],
@@ -484,7 +483,7 @@ def write_world(
     write(
         "lulc_codes.csv",
         ["code", "name"],
-        ((code, cls.name) for code, cls in lulc_codes.entries()),
+        ((code, cls.name) for code, cls in DEFAULT_LULC_CODES.entries()),
     )
     write(
         "ground_truth.csv",

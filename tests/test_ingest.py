@@ -318,9 +318,9 @@ class TestLocatedErrors:
         parse_float = ingest._parse_float
         parsed = set()
 
-        def cell_by_cell(text, what, line):
+        def cell_by_cell(text, what):
             parsed.add(what)
-            return parse_float(text, what, line)
+            return parse_float(text, what)
 
         monkeypatch.setattr(ingest, "_parse_float", cell_by_cell)
         loaded, _ = load_world(world_dir)

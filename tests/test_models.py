@@ -60,7 +60,7 @@ class TestRidge:
 class TestLogistic:
     def test_separable_blobs(self):
         X, y = two_blobs(200, seed=3)
-        model = train_logistic(X, y, seed=0)
+        model = train_logistic(X, y)
         pred = model.predict(X)
         acc = np.mean([p == t for p, t in zip(pred, y)])
         assert acc >= 0.99
@@ -70,7 +70,7 @@ class TestLogistic:
             rng = np.random.default_rng(seed)
             X = rng.normal(size=(1000, 4))
             y = list(rng.choice(["a", "b"], size=1000))
-            model = train_logistic(X[:500], y[:500], seed=seed)
+            model = train_logistic(X[:500], y[:500])
             pred = model.predict(X[500:])
             acc = np.mean([p == t for p, t in zip(pred, y[500:])])
             assert 0.4 <= acc <= 0.6
@@ -84,7 +84,7 @@ class TestLogistic:
         centers = {"a": (0, 0), "b": (8, 0), "c": (0, 8)}
         X = np.vstack([rng.normal(c, 1.0, size=(40, 2)) for c in centers.values()])
         y = [lab for lab in centers for _ in range(40)]
-        model = train_logistic(X, y, seed=1)
+        model = train_logistic(X, y)
         assert model.classes == ("a", "b", "c")
         acc = np.mean([p == t for p, t in zip(model.predict(X), y)])
         assert acc >= 0.98

@@ -10,6 +10,8 @@ depend on it.
 
 from __future__ import annotations
 
+import errno
+import io
 import json
 import os
 import subprocess
@@ -48,6 +50,23 @@ def no_pool(monkeypatch):
     """Two cores, one-cell slabs, and a pool that fails if it is started."""
     refuse_pools(monkeypatch)
     monkeypatch.setattr(csvio, "_SLAB_CELLS", 1)
+
+
+def fail_the_third_slab(monkeypatch, slab_cells):
+    """Slabs of ``slab_cells`` cells, the third of which raises MemoryError as
+    it is formatted; returns the list of slabs formatted, which grows."""
+    monkeypatch.setattr(csvio, "_SLAB_CELLS", slab_cells)
+    format_rows = csvio._format_rows
+    slabs = []
+
+    def failing(rows):
+        slabs.append(rows)
+        if len(slabs) == 3:
+            raise MemoryError
+        return format_rows(rows)
+
+    monkeypatch.setattr(csvio, "_format_rows", failing)
+    return slabs
 
 
 def _read_all(directory, names):
@@ -93,6 +112,26 @@ class TestWriteCsv:
             csvio.write_csv(tmp_path / "t.csv", ["a"], [(1,)], threads=0)
         assert not (tmp_path / "t.csv").exists()
 
+    def test_a_failed_slab_leaves_no_file(self, tmp_path, monkeypatch):
+        fail_the_third_slab(monkeypatch, slab_cells=1)
+        with pytest.raises(MemoryError):
+            csvio.write_csv(tmp_path / "t.csv", self.HEADER, self.ROWS * 3)
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_a_full_disk_leaves_no_file(self, tmp_path, monkeypatch):
+        class FullDisk(io.BufferedWriter):
+            def writelines(self, slabs):
+                for slab in slabs:
+                    self.write(slab[:5])
+                    self.flush()
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(csvio, "open", lambda path, mode: FullDisk(io.FileIO(path, "w")),
+                            raising=False)
+        with pytest.raises(OSError, match="No space"):
+            csvio.write_csv(tmp_path / "t.csv", self.HEADER, self.ROWS)
+        assert not (tmp_path / "t.csv").exists()
+
     def test_small_write_leaves_multiprocessing_unloaded(self, tmp_path):
         code = (
             "import sys; from regrow.csvio import write_csv; "
@@ -136,6 +175,14 @@ class TestSynthCommand:
             assert got == serial, name
         assert "threads" not in json.loads(serial["manifest_synth.json"])["config"]
         assert len(pool_jobs) == len(WORLD_FILES) * 2
+
+    def test_a_table_that_fails_midway_is_removed(self, tmp_path, monkeypatch, capsys):
+        slabs = fail_the_third_slab(monkeypatch, slab_cells=1000)
+        out = tmp_path / "world"
+        assert run(["synth", "--n-sites", "20", "--points-per-class", "10", "--threads", "1",
+                    "--output-dir", out]) == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "internal_error"
+        assert len(slabs) == 3 and not any(out.iterdir())
 
     def test_threads_below_one_is_invalid(self, tmp_path, capsys):
         out = tmp_path / "world"

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import hashlib
+import logging
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from regrow import prediction
 from regrow.cluster import FoldAssignment, spatial_kfold
 from regrow.core import (
     CovariateSet,
@@ -183,7 +186,7 @@ class TestEvaluate:
             ModelKind.LOGISTIC, ModelKind.RANDOM_FOREST,
         ]
 
-    def test_fold_with_no_usable_sites_is_skipped(self):
+    def test_fold_with_no_usable_sites_is_skipped(self, caplog):
         sites, refset = linear_world(n=30)
         # Give fold 2 only sites whose horizon year is missing.
         victims = {s.site_id for s in sites[:6]}
@@ -201,12 +204,52 @@ class TestEvaluate:
             for i, s in enumerate(pruned)
         }
         folds = FoldAssignment(k=3, assignment=assignment, centroids=((0, 0), (1, 1), (2, 2)))
+        with caplog.at_level(logging.WARNING, logger="regrow.prediction"):
+            results = evaluate(
+                pruned, refset, Task.FUTURE_SIMILARITY, [ModelKind.LINEAR, ModelKind.RANDOM_FOREST],
+                [FeatureSet.EMBEDDINGS, FeatureSet.COVARIATES], folds, seed=0, n_trees=3,
+                threads=1,
+            )
+        assert len(results) == 4
+        assert all(res.skipped_folds == (2,) and len(res.per_fold) == 2 for res in results)
+        # The folds are the task's, so they are warned about once.
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipped fold(s) [2] for future_similarity"
+        ]
+
+    def test_each_design_and_imputation_is_built_once(self, monkeypatch):
+        sites, refset = linear_world(n=40)
+        folds = spatial_kfold(sites, k=3, seed=0)
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(prediction, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        for name in ("assemble_design", "_impute"):
+            monkeypatch.setattr(prediction, name, counted(name))
+        feature_sets = [FeatureSet.EMBEDDINGS, FeatureSet.COVARIATES,
+                        FeatureSet.EMBEDDINGS_COVARIATES]
         results = evaluate(
-            pruned, refset, Task.FUTURE_SIMILARITY, [ModelKind.LINEAR],
-            [FeatureSet.EMBEDDINGS], folds, seed=0,
+            sites, refset, Task.FUTURE_SIMILARITY, [ModelKind.LINEAR, ModelKind.RANDOM_FOREST],
+            feature_sets, folds, seed=0, n_trees=3, threads=1,
         )
-        assert results[0].skipped_folds == (2,)
-        assert len(results[0].per_fold) == 2
+        assert len(results) == 6 and all(len(res.per_fold) == 3 for res in results)
+        assert calls == {"assemble_design": 3, "_impute": 3 * 3}
+
+    @pytest.mark.parametrize("models, feature_sets", [
+        ([], [FeatureSet.EMBEDDINGS]), ([ModelKind.LINEAR], []),
+    ])
+    def test_nothing_to_fit_returns_nothing(self, monkeypatch, models, feature_sets):
+        sites, refset = linear_world(n=20)
+        folds = spatial_kfold(sites, k=2, seed=0)
+        monkeypatch.setattr(prediction, "assemble_design", None)  # must not be called
+        assert evaluate(sites, refset, Task.FUTURE_SIMILARITY, models, feature_sets,
+                        folds, seed=0) == []
 
     def test_all_folds_empty_raises(self):
         sites, refset = linear_world(n=10)
