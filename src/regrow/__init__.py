@@ -31,7 +31,6 @@ from .projection import ProjectionModel, fit_projection, project, silhouette_sco
 from .references import (
     OutlierReport,
     ReferenceSet,
-    ReferenceTable,
     ReferenceYearPolicy,
     build_reference_set,
     classify_stability,

@@ -24,9 +24,6 @@ from .errors import (
     ZeroVectorError,
 )
 
-DEFAULT_EMBEDDING_DIM = 64
-DEFAULT_YEAR_WINDOW = (2017, 2024)
-
 #: Class names the engine knows about. Anything else is Other(code).
 KNOWN_LULC_NAMES = (
     "PrimaryForest",

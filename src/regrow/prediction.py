@@ -178,22 +178,19 @@ class PredictionTaskResult:
 
 def assemble_design(
     sites: Sequence[SiteRecord],
-    refset: ReferenceSet,
-    task: Task,
+    targets: Mapping[str, float] | Mapping[str, str],
     feature_set: FeatureSet,
-    horizon: int = 3,
     t0: int = 0,
     allow_missing: bool = True,
-) -> tuple[list[str], np.ndarray, list, list[str]]:
-    """Feature matrix and target vector for the sites with usable targets.
+) -> tuple[list[str], np.ndarray, list]:
+    """Feature matrix and target vector for the sites with a target.
 
-    Returns (site ids sorted, X, y, excluded ids). Rows follow the sorted
-    id order, so the assembly is input-order independent.
+    Returns (site ids sorted, X, y). Rows follow the sorted id order, so
+    the assembly is input-order independent.
     """
-    target_map, excluded = make_targets(sites, refset, task, horizon=horizon, t0=t0)
-    usable = [s for s in sorted(sites, key=lambda s: s.site_id) if s.site_id in target_map]
+    usable = [s for s in sorted(sites, key=lambda s: s.site_id) if s.site_id in targets]
     if not usable:
-        return [], np.zeros((0, 0)), [], excluded
+        return [], np.zeros((0, 0)), []
     dim = usable[0].embeddings.matrix.shape[1]
     X = np.stack(
         [
@@ -201,8 +198,8 @@ def assemble_design(
             for s in usable
         ]
     )
-    y = [target_map[s.site_id] for s in usable]
-    return [s.site_id for s in usable], X, y, excluded
+    y = [targets[s.site_id] for s in usable]
+    return [s.site_id for s in usable], X, y
 
 
 _VALID_MODELS = {
@@ -273,11 +270,12 @@ def evaluate(
 
     # Once per task: the rows, targets and folds, which no feature set changes.
     regression = task is Task.FUTURE_SIMILARITY
+    targets, excluded = make_targets(sites, refset, task, horizon=horizon, t0=t0)
     designs = [
-        assemble_design(sites, refset, task, fs, horizon=horizon, t0=t0, allow_missing=mean_impute)
+        assemble_design(sites, targets, fs, t0=t0, allow_missing=mean_impute)
         for fs in feature_sets
     ]
-    ids, _, y_all, excluded = designs[0]
+    ids, _, y_all = designs[0]
     keep = [i for i, sid in enumerate(ids) if sid in folds.assignment]
     if not keep:
         raise FoldTooSmallError("no usable sites after target exclusion")
@@ -299,7 +297,7 @@ def evaluate(
 
     # Once per feature set: each fold's train and test rows, imputed.
     fold_inputs = []
-    for _, X_all, _, _ in designs:
+    for _, X_all, _ in designs:
         X = X_all[keep]
         fold_inputs.append([
             _impute(X[train], X[test]) if mean_impute else (X[train], X[test])

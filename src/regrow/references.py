@@ -7,7 +7,6 @@ lookup for local similarity, and centroid-distance outlier ranking.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal, Mapping, Sequence
@@ -32,8 +31,6 @@ from .errors import (
 )
 from .geo import haversine_km_many
 
-log = logging.getLogger("regrow.references")
-
 OutlierMetric = Literal["cosine", "euclidean"]
 
 
@@ -55,32 +52,21 @@ def classify_stability(
     if min_stable_years < 1:
         raise InvalidValueError(f"min_stable_years must be at least 1, got {min_stable_years}")
     stable_first = end_year - min_stable_years + 1
-    # Every year of the three windows, which may reach past end_year.
-    missing = [
-        y
-        for y in range(
-            min(stable_first, change_from[0], change_to[0]),
-            max(end_year, change_from[1], change_to[1]) + 1,
-        )
-        if y not in series
-        and (stable_first <= y <= end_year
-             or change_from[0] <= y <= change_from[1]
-             or change_to[0] <= y <= change_to[1])
-    ]
+    windows = ((stable_first, end_year), change_from, change_to)
+    missing = sorted({y for first, last in windows for y in range(first, last + 1)} - series.keys())
     if missing:
         raise InsufficientSeriesError(f"series missing required years {missing}")
 
-    tail = series[stable_first]
-    if all(series[y] == tail for y in range(stable_first + 1, end_year + 1)):
-        return Stability.stable(tail)
+    def one_class(first: int, last: int) -> LULCClass | None:
+        """The class every year of first..last carries, or None."""
+        cls = series[first]
+        return cls if all(series[y] == cls for y in range(first + 1, last + 1)) else None
 
-    from_cls = series[change_from[0]]
-    to_cls = series[change_to[0]]
-    if (
-        all(series[y] == from_cls for y in range(change_from[0], change_from[1] + 1))
-        and all(series[y] == to_cls for y in range(change_to[0], change_to[1] + 1))
-        and from_cls != to_cls
-    ):
+    stable = one_class(stable_first, end_year)
+    if stable is not None:
+        return Stability.stable(stable)
+    from_cls, to_cls = one_class(*change_from), one_class(*change_to)
+    if from_cls is not None and to_cls is not None and from_cls != to_cls:
         return Stability.changing(from_cls, to_cls)
     return Stability.neither()
 
@@ -120,48 +106,28 @@ class ReferenceYearPolicy:
 
 
 @dataclass(frozen=True)
-class SecondaryPoint:
-    """Where a stable secondary point lies; ``ReferenceSet.secondary_embedding`` has its vectors."""
-    point_id: str
-    lon: float
-    lat: float
-
-
-@dataclass(frozen=True)
-class ReferenceTable:
-    """One year's class centroids and secondary-forest embeddings by point id."""
-
-    centroids: Mapping[LULCClass, EmbeddingVector]
-    secondary: Mapping[str, EmbeddingVector]
-
-
-_NO_TABLE = ReferenceTable({}, {})
-
-
-@dataclass(frozen=True)
 class ReferenceSet:
-    """The secondary points of the policy year, and a reference table for
+    """The secondary points of the policy year, and the class centroids of
     each year the policy serves.
 
-    ``tables`` holds only the policy year under the fixed policy, and every
-    year with a stable secondary-forest point under the per-year policy.
+    ``secondary_points`` are the policy year's stable secondary-forest
+    points, sorted by id. ``centroids_by_year`` holds only the policy year
+    under the fixed policy, and every year with a stable secondary-forest
+    point under the per-year policy.
     """
 
     policy: ReferenceYearPolicy
-    secondary_points: tuple[SecondaryPoint, ...]
-    tables: Mapping[int, ReferenceTable]
+    secondary_points: tuple[ReferencePoint, ...]
+    centroids_by_year: Mapping[int, Mapping[LULCClass, EmbeddingVector]]
 
     def reference_year(self, year: int | None = None) -> int:
-        """The year whose table serves a sample of ``year`` (None: the policy year)."""
+        """The year whose references serve a sample of ``year`` (None: the policy year)."""
         if self.policy.kind == "fixed" or year is None:
             return self.policy.year
         return year
 
-    def _table(self, year: int | None) -> ReferenceTable:
-        return self.tables.get(self.reference_year(year), _NO_TABLE)
-
     def global_reference(self, year: int | None = None) -> EmbeddingVector:
-        ref = self._table(year).centroids.get(SECONDARY_FOREST)
+        ref = self.class_centroids(year).get(SECONDARY_FOREST)
         if ref is None:
             raise NoSecondaryForestPointsError(
                 f"no stable secondary-forest embeddings for year {self.reference_year(year)}"
@@ -169,7 +135,7 @@ class ReferenceSet:
         return ref
 
     def class_centroids(self, year: int | None = None) -> Mapping[LULCClass, EmbeddingVector]:
-        return self._table(year).centroids
+        return self.centroids_by_year.get(self.reference_year(year), {})
 
     # The policy year's global reference and class centroids.
     global_ref = property(global_reference)
@@ -185,14 +151,18 @@ class ReferenceSet:
             np.array([p.lat for p in pts]),
         )
 
+    @cached_property
+    def _secondary_by_id(self) -> dict[str, ReferencePoint]:
+        return {p.point_id: p for p in self.secondary_points}
+
     def secondary_embedding(self, point_id: str, year: int | None = None) -> EmbeddingVector:
-        emb = self._table(year).secondary.get(point_id)
-        if emb is None:
+        point = self._secondary_by_id.get(point_id)
+        ref_year = self.reference_year(year)
+        if point is None or ref_year not in point.embeddings:
             raise NoSecondaryForestPointsError(
-                f"secondary point {point_id!r} has no embedding for year "
-                f"{self.reference_year(year)}"
+                f"secondary point {point_id!r} has no embedding for year {ref_year}"
             )
-        return emb
+        return point.embeddings[ref_year]
 
 
 @dataclass(frozen=True)
@@ -209,20 +179,15 @@ class OutlierReport:
             raise InvalidValueError("outlier distances must be non-increasing")
 
 
-def _mean_embedding(members: Sequence[tuple[str, ReferencePoint]], year: int) -> EmbeddingVector:
-    # Fixed summation order (sorted point_id) for bit-reproducibility.
-    ordered = sorted(members, key=lambda m: m[0])
-    return EmbeddingVector(np.stack([p.embeddings.row(year) for _, p in ordered]).mean(axis=0))
-
-
 def stable_members_by_class(
     points: Sequence[ReferencePoint], year: int
-) -> dict[LULCClass, list[tuple[str, ReferencePoint]]]:
-    """(point_id, point) of each stable point with a ``year`` embedding, by class."""
-    out: dict[LULCClass, list[tuple[str, ReferencePoint]]] = {}
-    for p in points:
+) -> dict[LULCClass, list[ReferencePoint]]:
+    """The stable points with a ``year`` embedding, by class, each list
+    sorted by point_id: the fixed order of every reduction over them."""
+    out: dict[LULCClass, list[ReferencePoint]] = {}
+    for p in sorted(points, key=lambda p: p.point_id):
         if p.stability.kind is StabilityKind.STABLE and year in p.embeddings:
-            out.setdefault(p.stability.stable_class, []).append((p.point_id, p))
+            out.setdefault(p.stability.stable_class, []).append(p)
     return out
 
 
@@ -241,28 +206,25 @@ def build_reference_set(
         years = [policy.year]
     else:
         years = sorted({y for p in points for y in p.embeddings})
-    tables: dict[int, ReferenceTable] = {}
-    secondary_points: tuple[SecondaryPoint, ...] = ()
+    centroids_by_year: dict[int, dict[LULCClass, EmbeddingVector]] = {}
+    secondary_points: tuple[ReferencePoint, ...] = ()
     for year in years:
         members = stable_members_by_class(points, year)
         if SECONDARY_FOREST not in members:
             continue
-        secondary = sorted(members[SECONDARY_FOREST])
-        tables[year] = ReferenceTable(
-            centroids={
-                cls: _mean_embedding(pts, year) for cls, pts in members.items()
-            },
-            secondary={pid: p.embeddings[year] for pid, p in secondary},
-        )
+        centroids_by_year[year] = {
+            cls: EmbeddingVector(np.array([p.embeddings.row(year) for p in pts]).mean(axis=0))
+            for cls, pts in members.items()
+        }
         if year == policy.year:
-            secondary_points = tuple(
-                SecondaryPoint(pid, p.lon, p.lat) for pid, p in secondary
-            )
-    if policy.year not in tables:
+            secondary_points = tuple(members[SECONDARY_FOREST])
+    if policy.year not in centroids_by_year:
         raise NoSecondaryForestPointsError(
             f"no stable secondary-forest point with an embedding for year {policy.year}"
         )
-    return ReferenceSet(policy=policy, secondary_points=secondary_points, tables=tables)
+    return ReferenceSet(
+        policy=policy, secondary_points=secondary_points, centroids_by_year=centroids_by_year
+    )
 
 
 def find_local_reference(site: SiteRecord, refset: ReferenceSet) -> tuple[str, float]:
@@ -304,7 +266,7 @@ def detect_outliers(
     members = stable_members_by_class(points, year).get(lulc, [])
     if not members:
         return OutlierReport(lulc=lulc, metric=metric, ranked=())
-    emb = np.stack([p.embeddings.row(year) for _, p in members])
+    emb = np.stack([p.embeddings.row(year) for p in members])
     if metric == "cosine":
         dists = 1.0 - cosine_similarities(emb, centroid.values)
     else:
@@ -312,7 +274,7 @@ def detect_outliers(
         # Row norms as sqrt(vecdot), which rounds as np.linalg.norm of each row.
         dists = np.sqrt(np.vecdot(diff, diff))
     scored = sorted(
-        zip([pid for pid, _ in members], dists.tolist()),
+        zip([p.point_id for p in members], dists.tolist()),
         key=lambda item: (-item[1], item[0]),
     )
     return OutlierReport(lulc=lulc, metric=metric, ranked=tuple(scored[: max(top_k, 0)]))

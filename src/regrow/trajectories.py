@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from functools import partial
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import (
-    EmbeddingVector,
     LULCClass,
     PASTURE,
     PRIMARY_FOREST,
@@ -148,14 +148,15 @@ def build_trajectory(
         raise NoEmbeddingsError(f"site {site.site_id} has no embedding years")
 
     point_id: str | None = None
+    reference = refset.global_reference
     if kind is ReferenceKind.LOCAL:
         point_id, _ = find_local_reference(site, refset)
+        reference = partial(refset.secondary_embedding, point_id)
 
-    if kind is ReferenceKind.GLOBAL:
-        refs = [refset.global_reference(year) for year in years]
-    else:
-        refs = [refset.secondary_embedding(point_id, year) for year in years]
-    sims = cosine_similarities(site.embeddings.matrix, _matrix(refs))
+    # One lookup per reference year: a single one under the fixed policy.
+    ref_years = [refset.reference_year(year) for year in years]
+    refs = {y: reference(y).values for y in dict.fromkeys(ref_years)}
+    sims = cosine_similarities(site.embeddings.matrix, np.array([refs[y] for y in ref_years]))
     samples = tuple(
         TrajectorySample(year=year, delta_t=site.delta_t(year), similarity=_clamp(s))
         for year, s in zip(years, sims.tolist())
@@ -175,11 +176,6 @@ def _clamp(s: float) -> float:
     return min(1.0, max(-1.0, s))
 
 
-def _matrix(vectors: Iterable[EmbeddingVector]) -> np.ndarray:
-    """The vectors as the rows of one (n, dim) matrix."""
-    return np.array([v.values for v in vectors])
-
-
 def compute_baselines(
     points: Sequence[ReferencePoint], refset: ReferenceSet
 ) -> BaselineBand:
@@ -190,14 +186,14 @@ def compute_baselines(
     """
     year = refset.policy.year
     ref = refset.global_ref
-    members = stable_members_by_class(sorted(points, key=lambda p: p.point_id), year)
+    members = stable_members_by_class(points, year)
 
     def band(target: LULCClass) -> float:
         if target not in members:
             raise MissingBaselineClassError(
                 f"no stable {target.label} point with an embedding for year {year}"
             )
-        embs = _matrix(p.embeddings[year] for _, p in members[target])
+        embs = np.array([p.embeddings.row(year) for p in members[target]])
         return _clamp(float(cosine_similarities(embs, ref.values).mean()))
 
     return BaselineBand(upper=band(PRIMARY_FOREST), lower=band(PASTURE))
@@ -301,7 +297,7 @@ def classify_trajectory(site: SiteRecord, refset: ReferenceSet) -> ClassTrajecto
             f"need at least 2 class centroids, have {len(refset.centroids)}"
         )
 
-    # One (years x classes) call per reference table: a single call under
+    # One (years x classes) call per reference year: a single call under
     # the fixed policy, one per year under the per-year policy.
     groups: dict[int, list[int]] = {}
     for i, year in enumerate(years):
@@ -313,7 +309,7 @@ def classify_trajectory(site: SiteRecord, refset: ReferenceSet) -> ClassTrajecto
         if len(table) < 2:
             raise TooFewCentroidsError(f"fewer than 2 class centroids for year {ref_year}")
         classes = sorted(table, key=lambda c: c.label)
-        sims = cosine_similarities(emb[rows, None, :], _matrix(table[c] for c in classes))
+        sims = cosine_similarities(emb[rows, None, :], np.array([table[c].values for c in classes]))
         # argmax keeps the first of equal maxima: ties go to the smaller label.
         for i, j, sim in zip(rows, sims.argmax(axis=1).tolist(), sims.max(axis=1).tolist()):
             samples[i] = (years[i], classes[j], _clamp(sim))

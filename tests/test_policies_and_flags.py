@@ -73,6 +73,23 @@ class TestPerYearPolicy:
         with pytest.raises(NoSecondaryForestPointsError):
             build_trajectory(site, refset, ReferenceKind.GLOBAL)
 
+    def test_nearest_point_without_the_year_raises(self):
+        # 2021 has a reference, but not from the site's nearest point.
+        near = point("near", SECONDARY_FOREST, {2020: vec(1.0, 0.0), 2024: vec(1.0, 0.0)})
+        far = point(
+            "far", SECONDARY_FOREST,
+            {2020: vec(1.0, 0.0), 2021: vec(0.0, 1.0), 2024: vec(1.0, 0.0)}, lat=1.0,
+        )
+        refset = build_reference_set([near, far], ReferenceYearPolicy.per_year(2024))
+        assert refset.global_reference(2021) == vec(0.0, 1.0)
+        site = make_site(
+            start_year=2020, embeddings={2020: vec(1.0, 0.0), 2021: vec(1.0, 0.0)},
+            centroid_lon=0.0, centroid_lat=0.0,
+        )
+        with pytest.raises(NoSecondaryForestPointsError,
+                           match="'near' has no embedding for year 2021"):
+            build_trajectory(site, refset, ReferenceKind.LOCAL)
+
 
 class TestEuclideanOutliers:
     def test_euclidean_ranks_by_norm_distance(self):

@@ -32,7 +32,7 @@ from regrow.prediction import (
     models_for_task,
     r_squared,
 )
-from regrow.references import ReferenceSet, ReferenceTable, ReferenceYearPolicy
+from regrow.references import ReferenceSet, ReferenceYearPolicy
 
 from conftest import make_site, vec
 
@@ -50,7 +50,7 @@ def refset_with_global(u: np.ndarray) -> ReferenceSet:
     return ReferenceSet(
         policy=ReferenceYearPolicy.fixed(2024),
         secondary_points=(),
-        tables={2024: ReferenceTable(centroids={SECONDARY_FOREST: ref}, secondary={})},
+        centroids_by_year={2024: {SECONDARY_FOREST: ref}},
     )
 
 
@@ -230,7 +230,7 @@ class TestEvaluate:
                 return fn(*args, **kwargs)
             return call
 
-        for name in ("assemble_design", "_impute"):
+        for name in ("make_targets", "assemble_design", "_impute"):
             monkeypatch.setattr(prediction, name, counted(name))
         feature_sets = [FeatureSet.EMBEDDINGS, FeatureSet.COVARIATES,
                         FeatureSet.EMBEDDINGS_COVARIATES]
@@ -239,7 +239,7 @@ class TestEvaluate:
             feature_sets, folds, seed=0, n_trees=3, threads=1,
         )
         assert len(results) == 6 and all(len(res.per_fold) == 3 for res in results)
-        assert calls == {"assemble_design": 3, "_impute": 3 * 3}
+        assert calls == {"make_targets": 1, "assemble_design": 3, "_impute": 3 * 3}
 
     @pytest.mark.parametrize("models, feature_sets", [
         ([], [FeatureSet.EMBEDDINGS]), ([ModelKind.LINEAR], []),
@@ -289,9 +289,8 @@ class TestNoLeakage:
         ]
 
         def train_fold_checksum(site_list):
-            ids, X, y, _ = assemble_design(
-                site_list, refset, Task.FUTURE_SIMILARITY, FeatureSet.EMBEDDINGS
-            )
+            targets, _ = make_targets(site_list, refset, Task.FUTURE_SIMILARITY)
+            ids, X, y = assemble_design(site_list, targets, FeatureSet.EMBEDDINGS)
             mask = [sid not in test_ids for sid in ids]
             X_train = X[mask]
             y_train = np.asarray([t for t, m in zip(y, mask) if m])

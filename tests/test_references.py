@@ -24,9 +24,7 @@ from regrow.errors import (
 from regrow.geo import EARTH_RADIUS_KM, haversine_km_many
 from regrow.references import (
     ReferenceSet,
-    ReferenceTable,
     ReferenceYearPolicy,
-    SecondaryPoint,
     build_reference_set,
     classify_stability,
     detect_outliers,
@@ -179,17 +177,14 @@ class TestFindLocalReference:
     def test_lookups_ignore_point_order(self):
         # Built by hand, so the points are not sorted by id.
         points = (
-            SecondaryPoint("c", 1.0, 1.5),
-            SecondaryPoint("b", 1.0, 1.0),
-            SecondaryPoint("a", 1.0, 1.0),
+            secondary_point("c", vec(0.0, 1.0), lon=1.0, lat=1.5),
+            secondary_point("b", vec(1.0, 1.0), lon=1.0, lat=1.0),
+            secondary_point("a", vec(1.0, 0.0), lon=1.0, lat=1.0),
         )
         refset = ReferenceSet(
             policy=ReferenceYearPolicy.fixed(),
             secondary_points=points,
-            tables={2024: ReferenceTable(
-                centroids={SECONDARY_FOREST: vec(1.0, 0.0)},
-                secondary={"c": vec(0.0, 1.0), "b": vec(1.0, 1.0), "a": vec(1.0, 0.0)},
-            )},
+            centroids_by_year={2024: {SECONDARY_FOREST: vec(1.0, 0.0)}},
         )
         site = make_site(embeddings={2020: vec(1.0, 0.0)}, centroid_lon=1.0, centroid_lat=1.0)
         assert find_local_reference(site, refset) == ("a", 0.0)

@@ -21,6 +21,7 @@ from regrow.core import (
     KNOWN_LULC_NAMES,
     EmbeddingVector,
     LULCClass,
+    ReferencePoint,
     cosine_similarities,
     cosine_similarity,
 )
@@ -30,9 +31,7 @@ from regrow import projection
 from regrow.projection import silhouette_score
 from regrow.references import (
     ReferenceSet,
-    ReferenceTable,
     ReferenceYearPolicy,
-    SecondaryPoint,
     build_reference_set,
     find_local_reference,
 )
@@ -302,10 +301,10 @@ class TestFindLocalReference:
         refset = ReferenceSet(
             policy=ReferenceYearPolicy.fixed(),
             secondary_points=tuple(
-                SecondaryPoint(pid, float(lon), float(lat))
+                ReferencePoint(pid, float(lon), float(lat))
                 for pid, (lon, lat) in zip(ids, coords)
             ),
-            tables={},
+            centroids_by_year={},
         )
         for lon, lat in rng.integers(0, grid, size=(5, 2)) * 0.5:
             site = make_site(centroid_lon=float(lon) + 0.25, centroid_lat=float(lat))
@@ -345,7 +344,7 @@ class TestTrajectoryCallers:
         refset = ReferenceSet(
             policy=ReferenceYearPolicy.fixed(),
             secondary_points=(),
-            tables={2024: ReferenceTable(centroids=centroids, secondary={})},
+            centroids_by_year={2024: centroids},
         )
         rows = np.concatenate([vectors, _matrix(rng, 4, 3, kind)])[rng.permutation(n_classes + 4)]
         site = make_site(
