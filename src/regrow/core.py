@@ -148,6 +148,8 @@ class LULCClass:
         return ("Other", self.code) if self.is_other else self.name
 
     def __eq__(self, other) -> bool:
+        if self is other:  # a code map gives out one instance per code
+            return True
         if not isinstance(other, LULCClass):
             return NotImplemented
         return self._key() == other._key()

@@ -25,19 +25,27 @@ Parse contract:
 Each file is read once, as bytes, by ``read_lines``, which finds its line
 ends and checks that it is UTF-8 without decoding it whole; an ASCII file is
 not decoded at all. The three ``id,year,...`` tables hold nearly all of the
-input's bytes; their numbers are parsed in bulk by ``np.fromstring``, which
-rounds as ``float()`` does, from the file's bytes into one read-only matrix,
-``_PARSE_CELLS`` cells of rows at a time: each such row block is one job of
+input's bytes; their numbers are parsed in bulk, from the file's bytes into
+one read-only matrix, ``_PARSE_CELLS`` cells of rows at a time. A cell
+``-?digits[.digits]`` is read as an integer significand M < 10**18 and k <= 27
+digits after its dot, and its value is M / 10**k, divided as x87 long
+doubles. Both operands are exact in their 64-bit significand, so the
+quotient is rounded once, and rounding it on to a double gives the double
+nearest the decimal, as ``float()`` does, unless it lies on the midpoint of
+two doubles. Such a cell, every other cell, and every cell where
+``np.longdouble`` is not the x87 type are parsed by ``np.fromstring``, which
+also rounds as ``float()`` does. Each row block is one job of
 ``pool.iter_jobs``, on the worker pool for a table of more than
 ``_POOL_CELLS`` cells (``threads`` caps it, as everywhere), each worker
 reading its rows from the bytes it inherits and writing them to one shared
-matrix. A parse holds the file's bytes, the matrix, and one block of text
-and values (~3 MB) per worker: no decoded copy of the file and no string per
-row. Such a table is read keys first: one pass cuts each row's id and year
-from its head, and their sort gives each row its place in the matrix, so the
-rows come out in (id, year) order and each id's years are one ``YearMap``
-view; each block's rows are checked against the ``CovariateSet`` and
-``SpectralIndices`` rules as they are parsed. No row is wrapped in an object.
+matrix. A parse holds the file's bytes, the matrix, and one block's bytes
+and temporaries (~2 MB) per worker: no decoded copy of the file and no
+string per row. Such a table is read keys first: one pass cuts each row's
+id and year from its head, and their sort gives each row its place in the
+matrix, so the rows come out in (id, year) order and each id's years are one
+``YearMap`` view; each block's rows are checked against the ``CovariateSet``
+and ``SpectralIndices`` rules as they are parsed. No row is wrapped in an
+object.
 Anything unusual (a quoted file, a bad year, a repeated key, a wrong field
 count, a cell numpy cannot read, blanks in a cell, a non-finite value, a
 broken rule) sends the table cell by cell, in file order, which raises the
@@ -97,22 +105,28 @@ log = logging.getLogger("regrow.ingest")
 DEFAULT_LULC_YEARS = (2015, 2024)
 
 #: Numeric cells of a table above which its row blocks are parsed on the
-#: pool. Measured on 2 cores with row prefixes of the seed-7 embeddings.csv,
-#: each load in a fresh process (median of 11): a pool, multiprocessing's
-#: import included, costs ~0.03 s; it lost 0.015 s at 256k cells, broke even
-#: near 300k, and saved 0.026 s at 384k and ~0.1 s of ~0.5 s on the whole
-#: file (676k). The 5x world's 3.9M cells parse in ~2.2 s instead of ~2.9 s.
+#: pool. Measured on 2 cores with row prefixes of the seed-7 and 5x
+#: embeddings.csv, each load in a fresh process (median of 9-15): up to 1M
+#: cells the pool, multiprocessing's import included, costs about what it
+#: saves (-0.029 to +0.007 s from 256k to 1M cells; -0.016 s of ~0.17 s on
+#: the whole seed-7 file, 676k); it saved 0.026 s at 1.5M and 0.087 s at
+#: 2M, and parses the 5x world's 3.9M cells in ~0.76 s instead of ~0.96 s.
+#: The threshold stays below the seed-7 file for memory: in process, the
+#: parent holds the file's bytes, the matrix and a block at once, and
+#: ``regrow predict`` on the seed-7 world peaked at 57.3 MB RSS, against
+#: 51.4 MB when the workers fill the matrix (median of 3).
 _POOL_CELLS = 300_000
 
 #: Numeric cells of one row block, the unit of a bulk parse and one job of
-#: the pool: 1024 rows of 64 embedding values, ~1.3 MB of text. Measured on
-#: 2 cores, in process: the seed-7 embeddings.csv (676k cells) parsed in
-#: 0.43-0.49 s (median of 7) at every block size from 4k cells to the whole
-#: table, with no trend; a ``threads=1`` load of the 5x world's
-#: embeddings.csv (3.9M cells) peaked at 189 MB RSS with 8k-64k cells,
-#: 195 MB with 256k, 231 MB with 1M and 292 MB with the whole table as one
-#: block.
-_PARSE_CELLS = 65_536
+#: the pool: 256 rows of 64 embedding values, ~330 kB of text. Measured on
+#: 2 cores, in process, the 5x world's tables (median of 7-15 alternating
+#: passes, ns a cell at 4k/8k/16k/32k/64k cells): embeddings.csv
+#: 195/167/179/210/250, covariates.csv 157/140/138/143/205, spectral.csv
+#: 368/313/334/398/478. A block's temporaries are ~113 bytes a cell (1.9 MB
+#: at 16k cells; the ``np.fromstring`` parse held 2.95 MB at 64k); a
+#: ``threads=1`` load of the 5x embeddings.csv peaked at 149 MB RSS with
+#: 8k-16k cells, 155 MB with 64k and 180 MB with 256k.
+_PARSE_CELLS = 16_384
 
 #: Bytes of a file that one step of a scan reads: the search for its line
 #: ends and, in a file that is not ASCII, its UTF-8 check. Each step's
@@ -121,6 +135,18 @@ _SCAN_BYTES = 1 << 20
 
 #: Characters of a cell that an error message echoes.
 _ECHO_CHARS = 200
+
+_COMMA, _MINUS, _DOT, _SLASH, _ZERO, _NINE = b",-./09"
+
+#: 10**k for k <= 18 as int64, and for k <= 27 as long doubles, made exactly.
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_POW10_X87 = np.cumprod(np.r_[1, np.full(27, 10)].astype(np.longdouble))
+
+#: Whether ``np.longdouble`` is the x87 80-bit type, with its 64-bit
+#: significand, that ``_exact_cells`` needs: the significand of its 1/3 is
+#: 0xAAAAAAAAAAAAAAAB. Anywhere else every cell goes through ``np.fromstring``.
+_X87 = (np.longdouble(1) / np.longdouble(3)).tobytes()[:8] == (
+    0xAAAAAAAAAAAAAAAB).to_bytes(8, "little")
 
 
 class LULCCodeMap:
@@ -383,31 +409,148 @@ def _parse_block(table: _Table, a: int, b: int, count: int, kind: type, out, slo
     ``a:b`` of an unquoted ``table`` into their rows ``slots[a:b]`` of ``out``.
 
     Returns whether the block was clean: False on a row without exactly
-    ``count + 2`` fields, a cell numpy cannot parse or that holds blanks, a
-    non-finite value, or a row that breaks a rule of ``kind``.
+    ``count + 2`` fields, an empty cell, a cell numpy cannot parse or that
+    holds blanks, a non-finite value, or a row that breaks a rule of ``kind``.
     """
-    data = table._data
-    bounds = list(zip(table._starts[a:b].tolist(), table._ends[a:b].tolist()))
-    if any(data.count(b",", s, e) != count + 1 for s, e in bounds):
-        return False
-    # A row's numbers follow its second comma. np.fromstring takes bytes, not
-    # a memoryview, so they are joined into one bytes object.
-    joined = b",".join(data[data.find(b",", data.find(b",", s) + 1) + 1:e] for s, e in bounds)
-    # numpy, like float(), skips blanks around a number, but it reads a
-    # blank cell as -1; cells with blanks are left to the cell-by-cell path.
-    if any(blank in joined for blank in b" \t\v\f"):
-        return False
-    try:
-        values = np.fromstring(joined, sep=",")
-    except ValueError:
-        return False
-    if values.size != (b - a) * count or not np.isfinite(values).all():
-        return False
-    values = values.reshape(b - a, count)
-    if not kind.rows_pass(values):
+    data, starts, ends = table._data, table._starts[a:b], table._ends[a:b]
+    if (starts[1:] == ends[:-1] + 1).all():
+        # The rows are one run of the file's bytes, one line-end byte apart.
+        base = int(starts[0])
+    else:
+        # A blank line or a \r\n between rows: the rows are joined by \n.
+        data = b"\n".join(map(data.__getitem__, map(slice, starts.tolist(), ends.tolist())))
+        base, ends = 0, np.cumsum(ends - starts + 1) - 1
+        starts = np.concatenate([[0], ends[:-1] + 1])
+    values = _parse_rows(data, base, starts - base, ends - base, count)
+    # An embedding's one rule, finiteness, holds for every parsed value.
+    if values is None or (kind is not EmbeddingVector and not kind.rows_pass(values)):
         return False
     out[slots[a:b]] = values
     return True
+
+
+def _spans(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The offsets of the spans ``starts[i]:ends[i]``, in order."""
+    lengths = ends - starts
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+
+
+def _parse_rows(data: bytes, base: int, starts: np.ndarray, ends: np.ndarray,
+                count: int) -> np.ndarray | None:
+    """The ``count`` numbers after the id and year of each row
+    ``data[base + starts[i]:base + ends[i]]``, the rows one line-end byte
+    apart, as a (rows, count) matrix; None on a row without ``count + 2``
+    fields, an empty cell, or a cell that ``np.fromstring`` cannot read,
+    that holds blanks or that is not finite.
+
+    ``_exact_cells`` parses the cells it can; the rest, or every cell where
+    ``np.longdouble`` is not the x87 type, go through one ``np.fromstring``.
+    """
+    rows, size = len(starts), int(ends[-1])
+    # A NUL after the cells ends the last one: numpy reads an integer on past
+    # the end of the array it is given.
+    u = np.zeros(size + 1, np.uint8)[:size]
+    u[:] = np.frombuffer(data, np.uint8, size, base)
+    commas = np.flatnonzero(u == _COMMA)
+    # Dealt out count + 1 a row, in order, the commas all fall in their own
+    # rows iff every row has count + 1 of them.
+    if len(commas) != rows * (count + 1):
+        return None
+    commas = commas.reshape(rows, count + 1)
+    if (commas[:, 0] < starts).any() or (commas[:, -1] >= ends).any():
+        return None
+    cell_starts = (commas[:, 1:] + 1).ravel()
+    cell_ends = np.concatenate([commas[:, 2:], ends[:, None]], axis=1).ravel()
+    if (cell_ends == cell_starts).any():
+        return None  # an empty cell
+    if _X87:
+        # Line ends become commas, and each row's id and year, with the two
+        # commas after them, become leading zeros of its first cell.
+        u[ends[:-1]] = _COMMA
+        u[_spans(starts, cell_starts[::count])] = _ZERO
+        values, left = _exact_cells(u, cell_starts, cell_ends)
+        left = np.flatnonzero(left)
+        spans = cell_starts[left], cell_ends[left]
+    else:
+        values, left, spans = np.empty(len(cell_starts)), slice(None), (cell_starts[::count], ends)
+    if len(spans[0]):
+        text = b",".join(map(data.__getitem__, map(slice, (spans[0] + base).tolist(),
+                                                     (spans[1] + base).tolist())))
+        # numpy, like float(), skips blanks around a number, but it reads a
+        # blank cell as -1; cells with blanks are left to the cell-by-cell path.
+        if any(blank in text for blank in b" \t\v\f"):
+            return None
+        try:
+            parsed = np.fromstring(text, sep=",")
+        except ValueError:
+            return None
+        if parsed.size != values[left].size or not np.isfinite(parsed).all():
+            return None
+        values[left] = parsed
+    return values.reshape(rows, count)
+
+
+def _exact_cells(u: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """(values, left): the cells ``u[starts[i]:ends[i]]`` parsed as
+    ``float()`` parses them, and a mask of the cells left unparsed, whose
+    values are garbage.
+
+    ``u`` holds the cells, none empty, separated by commas, with at most
+    some zeros between a comma and the next cell, and is overwritten. A NUL
+    byte must follow it in memory (see ``_parse_rows``).
+
+    A cell ``-?digits[.digits]`` whose digits, the dot read as a 0, are
+    S < 10**18 and that has k <= 27 digits after its dot is the decimal
+    M / 10**k, M = (S - S % 10**k) // 10 + S % 10**k (M = S without a dot),
+    and M and 10**k are exact in the 64-bit significand of an x87 long
+    double. Their quotient is rounded once, to 64 bits, and then to a
+    double: that second rounding is the one of the exact decimal unless the
+    quotient lies on the midpoint of two doubles, a cell left unparsed, like
+    every other cell.
+    """
+    n = len(starts)
+    left = np.zeros(n, bool)
+    odd = u < _COMMA
+    odd |= u > _NINE
+    odd |= u == _SLASH
+    left[np.searchsorted(ends, np.flatnonzero(odd))] = True
+    del odd
+    if left.any():  # such a cell becomes 0...0. for the integer parse, a dot at its end
+        u[_spans(starts[left], ends[left])] = _ZERO
+        u[ends[left] - 1] = _DOT
+    negative = u[starts] == _MINUS
+    if np.count_nonzero(u == _MINUS) != np.count_nonzero(negative):  # a minus inside a cell
+        minus = np.flatnonzero(u == _MINUS)
+        cell = np.searchsorted(ends, minus)
+        left[cell[minus != starts[cell]]] = True
+        u[minus] = _ZERO
+    else:
+        u[starts[negative]] = _ZERO
+    dots = np.flatnonzero(u == _DOT)
+    if len(dots) == n and ((dots >= starts) & (dots < ends)).all():
+        point, k = np.ones(n, bool), ends - dots - 1  # one dot in each cell
+    else:
+        cell = np.searchsorted(ends, dots)
+        per_cell = np.bincount(cell, minlength=n)
+        left |= per_cell > 1
+        point, k = per_cell == 1, np.zeros(n, np.intp)
+        k[cell] = ends[cell] - dots - 1
+    left |= ends - starts - point - negative == 0  # no digit
+    u[dots] = _ZERO
+    digits = np.fromstring(u, np.int64, sep=",")
+    left |= (digits >= 10**18) | (k > 27)
+    low = digits % _POW10[np.minimum(k, 18)]
+    significand = digits - low
+    significand //= 10
+    significand += low
+    np.copyto(significand, digits, where=~point)
+    del digits, low
+    quotient = significand.astype(np.longdouble)
+    quotient /= _POW10_X87[np.minimum(k, 27)]
+    left |= quotient.view(np.uint16)[::quotient.itemsize // 2] & 0x7FF == 0x400
+    values = quotient.astype(np.float64)
+    np.negative(values, out=values, where=negative)
+    return values, left
 
 
 def _clip(text: str) -> str:

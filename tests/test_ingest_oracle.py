@@ -477,7 +477,8 @@ def apply_mutations(base: Mapping[str, str], mutations) -> dict[str, str]:
             fields[b % len(fields)] = spelling
             table[r] = ",".join(fields)
         elif kind == "quote":
-            fields = next(csv.reader([table[r]]))
+            # A blank row, which csv reads as no fields, becomes one empty quoted field.
+            fields = next(csv.reader([table[r]])) or [""]
             fields[b % len(fields)] = '"' + fields[b % len(fields)].replace('"', '""') + '"'
             table[r] = ",".join(fields)
         elif kind == "drop":
