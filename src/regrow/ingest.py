@@ -98,6 +98,7 @@ from .errors import (
     NonFiniteError,
     RegrowError,
 )
+from . import x87
 from .pool import iter_jobs
 
 log = logging.getLogger("regrow.ingest")
@@ -137,17 +138,6 @@ _SCAN_BYTES = 1 << 20
 _ECHO_CHARS = 200
 
 _COMMA, _MINUS, _DOT, _SLASH, _ZERO, _NINE = b",-./09"
-
-#: 10**k for k <= 18 as int64, and for k <= 27 as long doubles, made exactly.
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
-_POW10_X87 = np.cumprod(np.r_[1, np.full(27, 10)].astype(np.longdouble))
-
-#: Whether ``np.longdouble`` is the x87 80-bit type, with its 64-bit
-#: significand, that ``_exact_cells`` needs: the significand of its 1/3 is
-#: 0xAAAAAAAAAAAAAAAB. Anywhere else every cell goes through ``np.fromstring``.
-_X87 = (np.longdouble(1) / np.longdouble(3)).tobytes()[:8] == (
-    0xAAAAAAAAAAAAAAAB).to_bytes(8, "little")
-
 
 class LULCCodeMap:
     """Bijective code<->name mapping for known classes.
@@ -463,7 +453,7 @@ def _parse_rows(data: bytes, base: int, starts: np.ndarray, ends: np.ndarray,
     cell_ends = np.concatenate([commas[:, 2:], ends[:, None]], axis=1).ravel()
     if (cell_ends == cell_starts).any():
         return None  # an empty cell
-    if _X87:
+    if x87.X87:
         # Line ends become commas, and each row's id and year, with the two
         # commas after them, become leading zeros of its first cell.
         u[ends[:-1]] = _COMMA
@@ -539,15 +529,15 @@ def _exact_cells(u: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     u[dots] = _ZERO
     digits = np.fromstring(u, np.int64, sep=",")
     left |= (digits >= 10**18) | (k > 27)
-    low = digits % _POW10[np.minimum(k, 18)]
+    low = digits % x87.POW10[np.minimum(k, 18)]
     significand = digits - low
     significand //= 10
     significand += low
     np.copyto(significand, digits, where=~point)
     del digits, low
     quotient = significand.astype(np.longdouble)
-    quotient /= _POW10_X87[np.minimum(k, 27)]
-    left |= quotient.view(np.uint16)[::quotient.itemsize // 2] & 0x7FF == 0x400
+    quotient /= x87.POW10_X87[np.minimum(k, 27)]
+    left |= x87.significand(quotient) & 0x7FF == 0x400
     values = quotient.astype(np.float64)
     np.negative(values, out=values, where=negative)
     return values, left

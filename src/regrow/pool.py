@@ -17,9 +17,6 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import InvalidValueError
 
-#: Set in each worker by ``_inherit`` to the ``(fn, jobs)`` of its pool.
-_WORKER_JOBS: tuple[Callable, Sequence[tuple]] | None = None
-
 
 def _available_cores() -> int:
     """Cores this process may run on; 1 where the platform cannot say."""
@@ -37,19 +34,26 @@ def _worker_count(threads: int | None, n_jobs: int) -> int:
     return max(1, min(cores if threads is None else threads, cores, n_jobs))
 
 
-def _inherit(fn: Callable, jobs: Sequence[tuple]) -> None:
-    global _WORKER_JOBS
-    _WORKER_JOBS = (fn, jobs)
-
-
-def _run_job(index: int):
-    """Job ``index`` in a worker. An error comes back as a value, so the
-    caller can raise the one the serial order would have raised first."""
-    fn, jobs = _WORKER_JOBS
+def _serve(fn: Callable, jobs: Sequence[tuple], conn) -> None:
+    """A worker: run each job whose index comes down ``conn`` until the pipe
+    closes. An error goes back as a value, so the caller can raise the one
+    the serial order would have raised first."""
     try:
-        return fn(*jobs[index]), None
-    except Exception as exc:
-        return None, exc
+        while True:
+            index = conn.recv()
+            try:
+                outcome = fn(*jobs[index]), None
+            except Exception as exc:
+                outcome = None, exc
+            conn.send(outcome)
+    except EOFError:
+        pass
+
+
+def _died(worker, index: int) -> RuntimeError:
+    worker.join()
+    return RuntimeError(f"worker process {worker.pid} ended during job {index} "
+                        f"(exit code {worker.exitcode})")
 
 
 def iter_jobs(
@@ -72,26 +76,74 @@ def iter_jobs(
 
 
 def _pooled(fn: Callable, jobs: Sequence[tuple], workers: int, order: Sequence[int]) -> Iterator:
-    """The results of ``jobs`` run in ``order`` on a pool of ``workers``, put
-    back in job order: a job done ahead of its turn waits here.
+    """The results of ``jobs`` run in ``order`` on ``workers`` worker
+    processes, put back in job order: a job done ahead of its turn waits here.
 
-    The pool forks: the workers inherit ``fn`` and ``jobs`` instead of
-    unpickling them, and a spawned worker would import numpy and regrow
-    again, which costs about as much as a forest fit. Only the results cross
-    a pipe. Each worker takes one job at a time, so the pool stays balanced.
-    Leaving the loop early, or an error, terminates the pool.
+    The workers fork: they inherit ``fn`` and ``jobs`` instead of unpickling
+    them, and a spawned worker would import numpy and regrow again, which
+    costs about as much as a forest fit. Only job indices and results cross
+    a worker's pipe. A worker has one job at a time and is sent the next as
+    soon as its result is in, so the workers stay balanced. A worker that
+    ends during a job (killed, or ``os._exit``) is that job's error, a
+    RuntimeError, where a ``multiprocessing.Pool`` would wait forever; the
+    other workers go on. Every worker is ended before this generator
+    returns: when it is done, when it raises, and when the caller stops
+    early.
     """
     import multiprocessing  # only here: every other command skips the import cost
+    from multiprocessing.connection import wait
 
     context = multiprocessing.get_context("fork")
-    done = {}
-    turn = 0
-    with context.Pool(workers, initializer=_inherit, initargs=(fn, jobs)) as pool:
-        for index, outcome in zip(order, pool.imap(_run_job, order, chunksize=1)):
-            done[index] = outcome
-            while turn in done:
+    todo = iter(order)
+    started, busy, done, turn = [], {}, {}, 0  # busy: a worker's pipe -> (worker, its job)
+
+    def give(conn, worker) -> None:
+        """Send ``worker`` the next job, or close its pipe if none is left."""
+        index = next(todo, None)
+        if index is None:
+            conn.close()
+        else:
+            try:
+                conn.send(index)
+                busy[conn] = worker, index
+            except OSError:
+                conn.close()
+                done[index] = None, _died(worker, index)
+
+    try:
+        for _ in range(workers):
+            conn, child = context.Pipe()
+            worker = context.Process(target=_serve, args=(fn, jobs, child), daemon=True)
+            worker.start()
+            started.append(worker)
+            child.close()
+            give(conn, worker)
+        while turn < len(jobs):
+            if turn in done:
                 result, exc = done.pop(turn)
                 if exc is not None:
                     raise exc
                 yield result
                 turn += 1
+            elif not busy:  # every worker has ended: the first error in job order
+                raise min((i, exc) for i, (_, exc) in done.items() if exc is not None)[1]
+            else:
+                ready = wait([*busy, *(worker.sentinel for worker, _ in busy.values())])
+                for conn, (worker, index) in list(busy.items()):
+                    # A result, or the end of the pipe of a worker that ended.
+                    if conn.poll() or worker.sentinel in ready:
+                        del busy[conn]
+                        try:
+                            done[index] = conn.recv()
+                        except EOFError:
+                            conn.close()
+                            done[index] = None, _died(worker, index)
+                        else:
+                            give(conn, worker)
+    finally:
+        for worker in started:
+            worker.terminate()
+        for worker in started:
+            worker.join()
+        for conn in busy:
+            conn.close()

@@ -20,7 +20,7 @@ from regrow import ingest
 from regrow.synthetic import SynthConfig, generate_world, write_world
 from test_ingest_oracle import FILES, _fingerprint, apply_mutations
 
-x87 = pytest.mark.skipif(not ingest._X87, reason="np.longdouble is not the x87 type here")
+x87 = pytest.mark.skipif(not ingest.x87.X87, reason="np.longdouble is not the x87 type here")
 
 
 def _bits(value: float) -> int:
@@ -164,9 +164,9 @@ def test_a_load_without_the_x87_type_reads_the_same_bits(world, monkeypatch):
 
     monkeypatch.setattr(ingest, "_exact_cells", recording)
     with_kernel = _fingerprint(_load(world)[0])
-    assert bool(kernel_calls) == ingest._X87
+    assert bool(kernel_calls) == ingest.x87.X87
     kernel_calls.clear()
-    monkeypatch.setattr(ingest, "_X87", False)
+    monkeypatch.setattr(ingest.x87, "X87", False)
     assert _fingerprint(_load(world)[0]) == with_kernel
     assert kernel_calls == []
 
