@@ -6,8 +6,8 @@ trajectories, project, predict, report. Configuration is a flat
 table, ``_SETTINGS``, parses and checks both, and makes the flags. Every
 run writes a manifest (config hash, seed, input checksums, artifact
 hashes) so outputs are reproducible from the manifest alone. On any
-module error the command removes its partial outputs, prints a JSON error
-record to stderr, and exits nonzero.
+module error, and on SIGINT or SIGTERM, the command removes its partial
+outputs, prints a JSON error record to stderr, and exits nonzero.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import math
+import signal
 import sys
 import traceback
 from dataclasses import dataclass
@@ -223,9 +224,10 @@ def _config_lines(path: str | Path):
     """(key, value text, 1-based line) of each setting in a config file."""
     # Lines end where the CSV tables' rows end, at \n, \r\n or \r; not at the
     # other breaks that str.splitlines knows, such as a form feed.
-    data, starts, ends = ingest.read_lines(path, InvalidValueError)
-    for lineno, (a, b) in enumerate(zip(starts.tolist(), ends.tolist()), 1):
-        raw = data[a:b].decode()
+    source, starts, ends = ingest.read_lines(path, InvalidValueError)
+    with source:
+        lines = [data[a:b].decode() for data, a, b in ingest.line_spans(source, starts, ends)]
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -732,10 +734,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _interrupt(signum, frame):
+    """SIGTERM ends a command as SIGINT does, with a KeyboardInterrupt."""
+    raise KeyboardInterrupt(signal.Signals(signum).name)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     outputs = RunOutputs(Path(args.output_dir))
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         settings = _resolve_settings(args)
         _HANDLERS[args.subcommand](args, settings, outputs)
@@ -751,6 +759,13 @@ def main(argv=None) -> int:
         record = {"error": "io_error", "message": str(exc), "file": file, "line": None}
         print(json.dumps(record), file=sys.stderr)
         return 1
+    except KeyboardInterrupt as exc:
+        outputs.discard()
+        name = exc.args[0] if exc.args else "SIGINT"
+        record = {"error": "interrupted", "message": f"interrupted by {name}",
+                  "file": None, "line": None}
+        print(json.dumps(record), file=sys.stderr)
+        return 1
     except Exception as exc:
         # A fault in regrow itself: clean up as for any error, and keep the traceback.
         outputs.discard()
@@ -761,6 +776,8 @@ def main(argv=None) -> int:
         }
         print(json.dumps(record), file=sys.stderr)
         return 1
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return 0
 
 

@@ -58,7 +58,8 @@ def format_cell(value) -> str:
     if isinstance(value, (np.integer, int)):
         return str(int(value))
     text = str(value)
-    if any(c in text for c in ",\"\n"):
+    # Quoted where csv.writer quotes it: a lone \r ends a row as \n does.
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
         text = '"' + text.replace('"', '""') + '"'
     return text
 

@@ -22,10 +22,13 @@ Parse contract:
   fault (line 1 is the header). An error about a table as a whole, such as
   a duplicate class name in lulc_codes.csv, names the file only.
 
-Each file is read once, as bytes, by ``read_lines``, which finds its line
-ends and checks that it is UTF-8 without decoding it whole; an ASCII file is
-not decoded at all. The three ``id,year,...`` tables hold nearly all of the
-input's bytes; their numbers are parsed in bulk, from the file's bytes into
+No file is held whole. ``read_lines`` scans each one ``_SCAN_BYTES`` (1 MB)
+at a time through one buffer: it finds the line ends, notes a ``"``, and
+checks that the file is UTF-8 without keeping anything it decodes (an ASCII
+chunk is not decoded at all). The file then stays open, and every later
+step reads only the rows it needs with ``os.pread``: a run of rows of at
+most ``_SCAN_BYTES``, or one row block. The three ``id,year,...`` tables
+hold nearly all of the input's bytes; their numbers are parsed in bulk into
 one read-only matrix, ``_PARSE_CELLS`` cells of rows at a time. A cell
 ``-?digits[.digits]`` is read as an integer significand M < 10**18 and k <= 27
 digits after its dot, and its value is M / 10**k, divided as x87 long
@@ -37,22 +40,23 @@ two doubles. Such a cell, every other cell, and every cell where
 also rounds as ``float()`` does. Each row block is one job of
 ``pool.iter_jobs``, on the worker pool for a table of more than
 ``_POOL_CELLS`` cells (``threads`` caps it, as everywhere), each worker
-reading its rows from the bytes it inherits and writing them to one shared
-matrix. A parse holds the file's bytes, the matrix, and one block's bytes
-and temporaries (~2 MB) per worker: no decoded copy of the file and no
-string per row. Such a table is read keys first: one pass cuts each row's
+reading its rows from the file descriptor it inherits and writing them to
+one shared matrix. A parse holds the matrix and one block's bytes and
+temporaries (~2 MB) per worker: no copy of the file and no string per row.
+Such a table is read keys first: one pass cuts each row's
 id and year from its head, and their sort gives each row its place in the
 matrix, so the rows come out in (id, year) order and each id's years are one
 ``YearMap`` view; each block's rows are checked against the ``CovariateSet``
 and ``SpectralIndices`` rules as they are parsed. No row is wrapped in an
-object.
+object. A file whose size or modification time changes during its load is a
+``parse_error``: no load mixes the bytes of two versions of a file.
 Anything unusual (a quoted file, a bad year, a repeated key, a wrong field
 count, a cell numpy cannot read, blanks in a cell, a non-finite value, a
 broken rule) sends the table cell by cell, in file order, which raises the
 first error at its line or accepts what ``float()`` accepts and numpy does
 not, such as ``1_0``. Files that ``regrow synth`` writes never take that
-path. The matrix depends neither on the number of workers nor on the row
-order. Every other table (sites, reference points, LULC codes) is small and
+path. A quoted file is decoded whole and read by ``csv``. The matrix
+depends neither on the number of workers nor on the row order. Every other table (sites, reference points, LULC codes) is small and
 is always read cell by cell: ``float()`` and ``int()``, in its loader's
 order of checks.
 
@@ -68,10 +72,12 @@ import io
 import logging
 import math
 import mmap
+import os
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from stat import S_ISREG
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -109,14 +115,13 @@ DEFAULT_LULC_YEARS = (2015, 2024)
 #: pool. Measured on 2 cores with row prefixes of the seed-7 and 5x
 #: embeddings.csv, each load in a fresh process (median of 9-15): up to 1M
 #: cells the pool, multiprocessing's import included, costs about what it
-#: saves (-0.029 to +0.007 s from 256k to 1M cells; -0.016 s of ~0.17 s on
-#: the whole seed-7 file, 676k); it saved 0.026 s at 1.5M and 0.087 s at
-#: 2M, and parses the 5x world's 3.9M cells in ~0.76 s instead of ~0.96 s.
-#: The threshold stays below the seed-7 file for memory: in process, the
-#: parent holds the file's bytes, the matrix and a block at once, and
-#: ``regrow predict`` on the seed-7 world peaked at 57.3 MB RSS, against
-#: 51.4 MB when the workers fill the matrix (median of 3).
-_POOL_CELLS = 300_000
+#: saves; it saved 0.026 s at 1.5M and 0.087 s at 2M, and parses the 5x
+#: world's 3.9M cells in ~0.76 s instead of ~0.96 s. A load holds no copy of
+#: its file, so the seed-7 file (676k cells) is parsed in process: its whole
+#: load took 0.182 s instead of 0.210 s on the pool (median of 30
+#: alternating fresh-process loads, faster in 24), and ``regrow predict``
+#: on that world peaked at 47.7 MB RSS instead of 47.0 MB (4 runs each).
+_POOL_CELLS = 1_000_000
 
 #: Numeric cells of one row block, the unit of a bulk parse and one job of
 #: the pool: 256 rows of 64 embedding values, ~330 kB of text. Measured on
@@ -129,9 +134,9 @@ _POOL_CELLS = 300_000
 #: 8k-16k cells, 155 MB with 64k and 180 MB with 256k.
 _PARSE_CELLS = 16_384
 
-#: Bytes of a file that one step of a scan reads: the search for its line
-#: ends and, in a file that is not ASCII, its UTF-8 check. Each step's
-#: temporaries are a few times this size.
+#: Bytes of a file that one read holds, one row block aside: a chunk of the
+#: scan for its line ends and its UTF-8 check, or a run of rows. Each
+#: chunk's temporaries are a few times this size.
 _SCAN_BYTES = 1 << 20
 
 #: Characters of a cell that an error message echoes.
@@ -206,106 +211,169 @@ class FilterReport:
     stages: tuple[tuple[str, int, int], ...]  # (reason, dropped, remaining)
 
 
-def _offsets(u: np.ndarray, byte: int) -> np.ndarray:
-    """The offsets of ``byte`` in the uint8 array ``u``, ``_SCAN_BYTES`` at a time."""
-    return np.concatenate([np.flatnonzero(u[a:a + _SCAN_BYTES] == byte) + a
-                           for a in range(0, len(u), _SCAN_BYTES)] + [np.empty(0, np.intp)])
+class _Source(io.FileIO):
+    """An input file open for reads by offset: each ``pread`` is one
+    ``os.pread`` of the bytes asked for, never the whole file. A forked
+    worker inherits the descriptor and reads its own rows from it.
+
+    The file's size and modification time are taken when it is opened. A
+    short read, or a size or time that differs after a read, is a
+    CsvParseError at the file: a load never mixes the bytes of two versions
+    of a file.
+    """
+
+    def __init__(self, path: Path):
+        super().__init__(path)
+        stat = os.fstat(self.fileno())
+        if not S_ISREG(stat.st_mode):  # a pipe has no offsets to read at
+            self.close()
+            raise CsvParseError("not a regular file", file=str(path))
+        self.path = path
+        self.size, self._stamp = stat.st_size, (stat.st_size, stat.st_mtime_ns)
+        #: Whether the file holds a ``"``; set by ``read_lines``.
+        self.quoted = False
+
+    def check(self, got: int, wanted: int) -> None:
+        """Raise unless ``got`` bytes were read of ``wanted`` and the file is as it was opened."""
+        stat = os.fstat(self.fileno())
+        if got != wanted or (stat.st_size, stat.st_mtime_ns) != self._stamp:
+            raise CsvParseError("the file changed while it was read", file=str(self.path))
+
+    def pread(self, a: int, b: int) -> bytes:
+        """The file's bytes ``a:b``."""
+        data = os.pread(self.fileno(), b - a, a)
+        self.check(len(data), b - a)
+        return data
 
 
-def _line_bounds(data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, ends): the offsets of each line of ``data``, its line end
-    excluded. A line ends at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as in
-    ``csv``; a line end at the end of the data starts no further line."""
-    u = np.frombuffer(data, np.uint8)
-    ends = _offsets(u, ord("\n"))
+def _line_bounds(lf: np.ndarray, cr: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends): the offsets of each line of a file of ``size`` bytes,
+    its line end excluded, from the offsets of its ``\\n`` and ``\\r``
+    bytes. A line ends at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as in
+    ``csv``; a line end at the end of the file starts no further line."""
+    ends = lf
     width = np.ones_like(ends)  # bytes of each line end
-    if b"\r" in data:
-        cr, lf = _offsets(u, ord("\r")), ends
+    if len(cr):
         lone = lf[~np.isin(lf - 1, cr)]  # each \n that is not the end of a \r\n
         ends = np.concatenate([cr, lone])
         width = np.concatenate([1 + np.isin(cr + 1, lf), np.ones_like(lone)])
         order = np.argsort(ends)
         ends, width = ends[order], width[order]
     starts = np.concatenate([[0], ends + width])
-    ends = np.append(ends, len(data))
-    if starts[-1] == len(data):
+    ends = np.append(ends, size)
+    if starts[-1] == size:
         starts, ends = starts[:-1], ends[:-1]
     return starts, ends
 
 
-def _utf8_error(data: bytes) -> UnicodeDecodeError | None:
-    """The first UTF-8 error of ``data``, its ``start`` an offset in ``data``;
-    None if there is none. ASCII data is not decoded at all, any other is
-    decoded ``_SCAN_BYTES`` at a time, and nothing decoded is kept."""
-    if data.isascii():
-        return None
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    for a in range(0, len(data), _SCAN_BYTES):
-        try:
-            decoder.decode(data[a:a + _SCAN_BYTES], a + _SCAN_BYTES >= len(data))
-        except UnicodeDecodeError as exc:
-            # The decoder held back the bytes of a character cut at ``a``.
-            exc.start += a - len(decoder.buffer)
-            return exc
-    return None
+def read_lines(path: str | Path, error: type[RegrowError]) -> tuple[_Source, np.ndarray, np.ndarray]:
+    """A UTF-8 file, open as a ``_Source``, and the offsets of its lines:
+    line ``i + 1`` is its bytes ``starts[i]:ends[i]``. The caller closes it.
 
-
-def read_lines(path: str | Path, error: type[RegrowError]) -> tuple[bytes, np.ndarray, np.ndarray]:
-    """The bytes of a UTF-8 file and the offsets of its lines, as
-    ``_line_bounds`` finds them: line ``i + 1`` is ``data[starts[i]:ends[i]]``.
-
-    The whole file is never decoded. A byte that is not UTF-8 raises
-    ``error`` at the file and the line of the byte.
+    One pass reads the file ``_SCAN_BYTES`` at a time into one buffer. It
+    finds the line ends, notes whether the file holds a ``"``, and feeds
+    each chunk that is not ASCII to an incremental UTF-8 decoder, which
+    keeps nothing it decodes. A byte that is not UTF-8 raises ``error`` at
+    the file and the line of the byte.
     """
-    data = Path(path).read_bytes()
-    starts, ends = _line_bounds(data)
-    exc = _utf8_error(data)
-    if exc is not None:
-        line = int(np.searchsorted(starts, exc.start, side="right"))
-        raise error(f"not UTF-8 ({exc.reason})", line=line, file=str(path))
-    return data, starts, ends
+    source = _Source(Path(path))
+    try:
+        size = source.size
+        buffer = bytearray(min(_SCAN_BYTES, size))
+        view, u = memoryview(buffer), np.frombuffer(buffer, np.uint8)
+        lf, cr = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+        decoder = codecs.getincrementaldecoder("utf-8")()
+        bad, a = None, 0
+        while a < size:
+            n = source.readinto(view[:min(len(buffer), size - a)])
+            if not n:
+                break
+            lf.append(np.flatnonzero(u[:n] == ord("\n")) + a)
+            if buffer.find(b"\r", 0, n) >= 0:
+                cr.append(np.flatnonzero(u[:n] == ord("\r")) + a)
+            source.quoted = source.quoted or buffer.find(b'"', 0, n) >= 0
+            if bad is None and (decoder.buffer or u[:n].max() > 127):
+                try:
+                    decoder.decode(view[:n], a + n == size)
+                except UnicodeDecodeError as exc:
+                    # The decoder held back the bytes of a character cut at ``a``.
+                    exc.start += a - len(decoder.buffer)
+                    bad = exc
+            a += n
+        source.check(a, size)
+        starts, ends = _line_bounds(np.concatenate(lf), np.concatenate(cr), size)
+        if bad is not None:
+            line = int(np.searchsorted(starts, bad.start, side="right"))
+            raise error(f"not UTF-8 ({bad.reason})", line=line, file=str(path))
+    except BaseException:
+        source.close()
+        raise
+    return source, starts, ends
+
+
+def line_spans(source: _Source, starts: np.ndarray, ends: np.ndarray):
+    """Yield (data, a, b) for each line ``starts[i]:ends[i]`` of ``source``:
+    the line is ``data[a:b]``. The lines are read in runs of at most
+    ``_SCAN_BYTES`` bytes, or one longer line."""
+    starts, ends = starts.tolist(), ends.tolist()
+    i = 0
+    while i < len(starts):
+        base = starts[i]
+        j = max(i + 1, bisect_right(ends, base + _SCAN_BYTES, i))
+        data = source.pread(base, ends[j - 1])
+        for a, b in zip(starts[i:j], ends[i:j]):
+            yield data, a - base, b - base
+        i = j
 
 
 class _Table:
     """One input CSV, read once: its stripped header and its non-blank data rows.
 
-    An unquoted file is kept as its bytes and the offsets of its rows; a row
-    is decoded only when ``rows`` yields it. A quoted file is read by
-    ``csv``. Use the table as a context manager: a RegrowError raised inside
-    the ``with`` block is located at this file and, unless it names its own
-    line, at the line being read (1 while the header is checked, then each
-    row's line in turn, none once every row has been read). The file's bytes
-    are let go when the block ends.
+    An unquoted file stays open as a ``_Source`` with the offsets of its
+    rows, and is read only a run of rows, or one row block, at a time: a
+    row is decoded only when ``rows`` yields it. A quoted file is decoded
+    whole and read by ``csv``. Use the table as a context manager: a
+    RegrowError raised inside the ``with`` block is located at this file
+    and, unless it names its own line, at the line being read (1 while the
+    header is checked, then each row's line in turn, none once every row has
+    been read or while the keys and numbers are read in bulk). The file is
+    closed when the block ends, however it ends.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.line: int | None = 1
-        data, starts, ends = read_lines(self.path, CsvParseError)
-        if not len(starts):
-            raise CsvParseError("file is empty (no header row)", line=1, file=str(self.path))
-        self._quoted = b'"' in data
-        if self._quoted:
-            # Quoted fields may hold commas and line breaks: csv splits them.
-            reader = csv.reader(io.StringIO(data.decode(), newline=""))
-            try:
-                header, *records = reader  # a quote makes one row at least
-            except csv.Error as exc:  # e.g. an unclosed quote past the field limit
-                raise CsvParseError(str(exc), line=reader.line_num, file=str(self.path)) from None
-            # Blank records are skipped but keep their line numbers, as csv does.
-            self._records = [(i, rec) for i, rec in enumerate(records, start=2) if rec]
-        else:
-            header = data[starts[0]:ends[0]].decode().split(",") if ends[0] > starts[0] else []
-            rows = np.flatnonzero(ends[1:] > starts[1:]) + 1  # blank rows keep their lines
-            self._data, self._lines = data, rows + 1
-            self._starts, self._ends = starts[rows], ends[rows]
+        self._source, starts, ends = read_lines(self.path, CsvParseError)
+        try:
+            if not len(starts):
+                raise CsvParseError("file is empty (no header row)", line=1, file=str(self.path))
+            if self._source.quoted:
+                # Quoted fields may hold commas and line breaks: csv splits them.
+                text = self._source.pread(0, self._source.size).decode()
+                reader = csv.reader(io.StringIO(text, newline=""))
+                try:
+                    header, *records = reader  # a quote makes one row at least
+                except csv.Error as exc:  # e.g. an unclosed quote past the field limit
+                    raise CsvParseError(str(exc), line=reader.line_num,
+                                        file=str(self.path)) from None
+                # Blank records are skipped but keep their line numbers, as csv does.
+                self._records = [(i, rec) for i, rec in enumerate(records, start=2) if rec]
+            else:
+                head = self._source.pread(int(starts[0]), int(ends[0]))
+                header = head.decode().split(",") if head else []
+                rows = np.flatnonzero(ends[1:] > starts[1:]) + 1  # blank rows keep their lines
+                self._lines, self._starts, self._ends = rows + 1, starts[rows], ends[rows]
+        except BaseException:
+            self._source.close()
+            raise
         self.header = [h.strip() for h in header]
 
     def __enter__(self) -> "_Table":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self._data = self._records = None
+        self._source.close()
+        self._records = None
         if isinstance(exc, RegrowError):
             exc.locate(self.path, self.line)
         return False
@@ -317,13 +385,12 @@ class _Table:
         A row must have ``width`` fields (at least ``width`` if not
         ``exact``), else MissingColumnError.
         """
-        if self._quoted:
+        if self._source.quoted:
             records = self._records
         else:
-            data = self._data
             records = ((line, data[a:b].decode().split(","))
-                       for line, a, b in zip(self._lines.tolist(), self._starts.tolist(),
-                                             self._ends.tolist()))
+                       for line, (data, a, b) in zip(self._lines.tolist(), line_spans(
+                           self._source, self._starts, self._ends)))
         for line, row in records:
             self.line = line
             if (len(row) != width) if exact else (len(row) < width):
@@ -336,13 +403,14 @@ class _Table:
         its rows in (id, year) order; None for a quoted file, a missing or bad
         year, or a repeated key.
         """
-        if self._quoted:
+        if self._source.quoted:
             return None
+        self.line = None
         # Only the two head fields of a row are cut, never its numbers.
-        data, n = self._data, len(self._starts)
+        n = len(self._starts)
         first: dict[bytes, int] = {}  # each id, numbered in order of first sight
         codes, years = np.empty(n, np.int64), np.empty(n, np.int64)
-        for i, (a, b) in enumerate(zip(self._starts.tolist(), self._ends.tolist())):
+        for i, (data, a, b) in enumerate(line_spans(self._source, self._starts, self._ends)):
             comma = data.find(b",", a, b)
             if comma < 0:
                 return None
@@ -373,10 +441,10 @@ class _Table:
         The rows are cut into blocks of ``_PARSE_CELLS`` cells, one job each
         (see ``_parse_block``). A table of more than ``_POOL_CELLS`` cells
         hands them to the pool: its matrix is an anonymous mapping made
-        before the workers fork, and the workers read their rows from the
-        file's bytes they inherit, so only each block's flag comes back
-        through a pipe. The first block with an anomaly ends the parse, and
-        the table goes cell by cell.
+        before the workers fork, and each worker reads its blocks' rows from
+        the file descriptor it inherits, so only each block's flag comes
+        back through a pipe. The first block with an anomaly ends the parse,
+        and the table goes cell by cell.
         """
         n = len(self._starts)
         if n * count > _POOL_CELLS:
@@ -402,16 +470,16 @@ def _parse_block(table: _Table, a: int, b: int, count: int, kind: type, out, slo
     ``count + 2`` fields, an empty cell, a cell numpy cannot parse or that
     holds blanks, a non-finite value, or a row that breaks a rule of ``kind``.
     """
-    data, starts, ends = table._data, table._starts[a:b], table._ends[a:b]
-    if (starts[1:] == ends[:-1] + 1).all():
-        # The rows are one run of the file's bytes, one line-end byte apart.
-        base = int(starts[0])
-    else:
+    starts, ends = table._starts[a:b], table._ends[a:b]
+    base = int(starts[0])
+    data = table._source.pread(base, int(ends[-1]))
+    starts, ends = starts - base, ends - base
+    if not (starts[1:] == ends[:-1] + 1).all():
         # A blank line or a \r\n between rows: the rows are joined by \n.
         data = b"\n".join(map(data.__getitem__, map(slice, starts.tolist(), ends.tolist())))
-        base, ends = 0, np.cumsum(ends - starts + 1) - 1
+        ends = np.cumsum(ends - starts + 1) - 1
         starts = np.concatenate([[0], ends[:-1] + 1])
-    values = _parse_rows(data, base, starts - base, ends - base, count)
+    values = _parse_rows(data, starts, ends, count)
     # An embedding's one rule, finiteness, holds for every parsed value.
     if values is None or (kind is not EmbeddingVector and not kind.rows_pass(values)):
         return False
@@ -425,10 +493,10 @@ def _spans(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
 
 
-def _parse_rows(data: bytes, base: int, starts: np.ndarray, ends: np.ndarray,
+def _parse_rows(data: bytes, starts: np.ndarray, ends: np.ndarray,
                 count: int) -> np.ndarray | None:
     """The ``count`` numbers after the id and year of each row
-    ``data[base + starts[i]:base + ends[i]]``, the rows one line-end byte
+    ``data[starts[i]:ends[i]]``, the rows one line-end byte
     apart, as a (rows, count) matrix; None on a row without ``count + 2``
     fields, an empty cell, or a cell that ``np.fromstring`` cannot read,
     that holds blanks or that is not finite.
@@ -440,7 +508,7 @@ def _parse_rows(data: bytes, base: int, starts: np.ndarray, ends: np.ndarray,
     # A NUL after the cells ends the last one: numpy reads an integer on past
     # the end of the array it is given.
     u = np.zeros(size + 1, np.uint8)[:size]
-    u[:] = np.frombuffer(data, np.uint8, size, base)
+    u[:] = np.frombuffer(data, np.uint8, size)
     commas = np.flatnonzero(u == _COMMA)
     # Dealt out count + 1 a row, in order, the commas all fall in their own
     # rows iff every row has count + 1 of them.
@@ -464,8 +532,7 @@ def _parse_rows(data: bytes, base: int, starts: np.ndarray, ends: np.ndarray,
     else:
         values, left, spans = np.empty(len(cell_starts)), slice(None), (cell_starts[::count], ends)
     if len(spans[0]):
-        text = b",".join(map(data.__getitem__, map(slice, (spans[0] + base).tolist(),
-                                                     (spans[1] + base).tolist())))
+        text = b",".join(map(data.__getitem__, map(slice, spans[0].tolist(), spans[1].tolist())))
         # numpy, like float(), skips blanks around a number, but it reads a
         # blank cell as -1; cells with blanks are left to the cell-by-cell path.
         if any(blank in text for blank in b" \t\v\f"):

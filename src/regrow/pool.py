@@ -13,6 +13,7 @@ its import cost.
 from __future__ import annotations
 
 import os
+import signal
 from typing import Callable, Iterator, Sequence
 
 from .errors import InvalidValueError
@@ -34,10 +35,22 @@ def _worker_count(threads: int | None, n_jobs: int) -> int:
     return max(1, min(cores if threads is None else threads, cores, n_jobs))
 
 
+#: The signals a worker starts with blocked, until ``_serve`` has set them.
+_SIGNALS = {signal.SIGINT, signal.SIGTERM}
+
+
 def _serve(fn: Callable, jobs: Sequence[tuple], conn) -> None:
     """A worker: run each job whose index comes down ``conn`` until the pipe
     closes. An error goes back as a value, so the caller can raise the one
-    the serial order would have raised first."""
+    the serial order would have raised first.
+
+    A worker ignores SIGINT, which a terminal sends to the whole process
+    group: the parent alone is interrupted, and it ends the workers. SIGTERM,
+    which the parent sends them, ends a worker at once.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _SIGNALS)
     try:
         while True:
             index = conn.recv()
@@ -114,7 +127,11 @@ def _pooled(fn: Callable, jobs: Sequence[tuple], workers: int, order: Sequence[i
         for _ in range(workers):
             conn, child = context.Pipe()
             worker = context.Process(target=_serve, args=(fn, jobs, child), daemon=True)
-            worker.start()
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, _SIGNALS)
+            try:
+                worker.start()
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             started.append(worker)
             child.close()
             give(conn, worker)

@@ -1,8 +1,8 @@
 """Inputs that are not plain ASCII with ``\\n`` line ends, on the bytes ingest.
 
-``ingest._Table`` keeps an input file as its bytes. An ASCII file is never
-decoded; any other is checked as UTF-8 ``_SCAN_BYTES`` at a time, with
-nothing decoded kept. Ids with non-ASCII characters and CRLF or lone-CR line
+``ingest.read_lines`` scans an input file ``_SCAN_BYTES`` at a time. An
+ASCII chunk is never decoded; any other is checked as UTF-8, with nothing
+decoded kept. Ids with non-ASCII characters and CRLF or lone-CR line
 ends must still take the bulk parse and give the oracle's Dataset bit for
 bit, in process and on the pinned pool. A truncated character is a
 ``parse_error`` at its file and line.

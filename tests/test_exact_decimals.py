@@ -52,7 +52,7 @@ def _parse_rows(cells: list[str]):
     data = b"\n".join(rows)
     lengths = np.array([len(row) for row in rows])
     ends = np.cumsum(lengths + 1) - 1
-    return ingest._parse_rows(data, 0, ends - lengths, ends, 1)
+    return ingest._parse_rows(data, ends - lengths, ends, 1)
 
 
 def _assert_block_matches_float(cells: list[str]):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -110,3 +111,50 @@ def test_stopping_early_ends_every_worker(monkeypatch, stop):
         with pytest.raises(ValueError, match="job 2"):
             next(results)
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+def test_a_signal_ends_the_command_with_an_interrupted_record(tmp_path, signum):
+    # The command writes an output, then waits on two workers. SIGINT goes to
+    # the whole process group, as a terminal's Ctrl-C does; SIGTERM to the
+    # command alone.
+    out_dir = tmp_path / "report"
+    code = """
+        import os, sys, time
+        from regrow import cli, pool
+        pool._available_cores = lambda: 2
+
+        def wait(i):
+            os.write(1, b"ready\\n")  # one write: the two workers share the pipe
+            time.sleep(60)
+
+        def waiting_report(args, settings, outputs):
+            outputs.write_csv("partial.csv", ["a"], [(1,)])
+            list(pool.iter_jobs(wait, [(0,), (1,)], 2))
+
+        cli._HANDLERS["report"] = waiting_report
+        sys.exit(cli.main(sys.argv[1:]))
+    """
+    proc = subprocess.Popen(
+        [sys.executable, "-c", textwrap.dedent(code), "report", "--output-dir", str(out_dir)],
+        env=dict(os.environ, PYTHONPATH=SRC), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True)
+    try:
+        assert [proc.stdout.readline() for _ in range(2)] == ["ready\n"] * 2
+        assert (out_dir / "partial.csv").exists()
+        if signum == signal.SIGINT:
+            os.killpg(proc.pid, signum)
+        else:
+            os.kill(proc.pid, signum)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 1
+    # One record, and no traceback from the command or a worker.
+    (line,) = err.strip().splitlines()
+    assert json.loads(line) == {"error": "interrupted",
+                                "message": f"interrupted by {signum.name}",
+                                "file": None, "line": None}
+    assert not any(out_dir.iterdir())
