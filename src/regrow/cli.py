@@ -739,6 +739,22 @@ def _interrupt(signum, frame):
     raise KeyboardInterrupt(signal.Signals(signum).name)
 
 
+def _error_record(exc: BaseException) -> dict:
+    """The JSON record of a run that ``exc`` ended."""
+    if isinstance(exc, RegrowError):
+        return {"error": exc.code, "message": str(exc), "file": exc.file, "line": exc.line}
+    if isinstance(exc, OSError):
+        file = None if exc.filename is None else str(exc.filename)
+        return {"error": "io_error", "message": str(exc), "file": file, "line": None}
+    if isinstance(exc, KeyboardInterrupt):
+        name = exc.args[0] if exc.args else "SIGINT"
+        return {"error": "interrupted", "message": f"interrupted by {name}",
+                "file": None, "line": None}
+    # A fault in regrow itself: keep the traceback.
+    return {"error": "internal_error", "message": f"{type(exc).__name__}: {exc}",
+            "traceback": "".join(traceback.format_exception(exc))}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -748,33 +764,9 @@ def main(argv=None) -> int:
         settings = _resolve_settings(args)
         _HANDLERS[args.subcommand](args, settings, outputs)
         outputs.write_manifest(args.subcommand, settings)
-    except RegrowError as exc:
+    except (Exception, KeyboardInterrupt) as exc:
         outputs.discard()
-        record = {"error": exc.code, "message": str(exc), "file": exc.file, "line": exc.line}
-        print(json.dumps(record), file=sys.stderr)
-        return 1
-    except OSError as exc:
-        outputs.discard()
-        file = None if exc.filename is None else str(exc.filename)
-        record = {"error": "io_error", "message": str(exc), "file": file, "line": None}
-        print(json.dumps(record), file=sys.stderr)
-        return 1
-    except KeyboardInterrupt as exc:
-        outputs.discard()
-        name = exc.args[0] if exc.args else "SIGINT"
-        record = {"error": "interrupted", "message": f"interrupted by {name}",
-                  "file": None, "line": None}
-        print(json.dumps(record), file=sys.stderr)
-        return 1
-    except Exception as exc:
-        # A fault in regrow itself: clean up as for any error, and keep the traceback.
-        outputs.discard()
-        record = {
-            "error": "internal_error",
-            "message": f"{type(exc).__name__}: {exc}",
-            "traceback": traceback.format_exc(),
-        }
-        print(json.dumps(record), file=sys.stderr)
+        print(json.dumps(_error_record(exc)), file=sys.stderr)
         return 1
     finally:
         signal.signal(signal.SIGTERM, previous)

@@ -1,21 +1,22 @@
 """Random forest on CART trees, for regression and classification.
 
-Trees are grown on bootstrap samples with per-node feature subsampling;
-splits minimize within-node variance (regression) or Gini impurity
-(classification) using sort-plus-prefix-sum scans. Per-tree generators are
-derived deterministically from (seed, tree_index), so a fixed seed yields
-a bit-identical forest.
+Every forest is Breiman's (2001): each tree is grown in full (no depth cap
+and no least leaf size) on a bootstrap sample of the n training rows, and
+each node searches ``mtry`` candidate features, floor(sqrt(p)) for
+classification and ceil(p/3) for regression. Splits minimize within-node
+variance (regression) or Gini impurity (classification) using
+sort-plus-prefix-sum scans. Per-tree generators are derived
+deterministically from (seed, tree_index), so a fixed seed yields a
+bit-identical forest.
 
 Split contract. A searched node draws its candidate features with one
 ``rng.choice(p, mtry, replace=False)`` of its tree's generator, in the
 tree's depth-first pre-order (left subtree before right). A split is valid
-only between two distinct sorted values and only if it leaves at least
-``min_leaf`` rows on each side; its threshold is the midpoint of the two
-values. Among splits of equal cost the first candidate feature in the
-node's draw order wins, and within that feature the first position (the
-smallest left side). A node is a leaf when it is too small, at
-``max_depth`` or pure, or when its best split gains no more than
-``_MIN_GAIN``.
+only between two distinct sorted values; its threshold is the midpoint of
+the two values. Among splits of equal cost the first candidate feature in
+the node's draw order wins, and within that feature the first position (the
+smallest left side). A node is a leaf when it is pure (a one-row node is),
+or when its best split gains no more than ``_MIN_GAIN``.
 
 Lockstep growth. The trees of a forest grow together, without recursion.
 Each tree keeps its own stack of nodes still to search, so it meets them in
@@ -55,7 +56,7 @@ from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidValueError, TooFewPointsError
+from .errors import InvalidValueError, TooFewPointsError, WrongDimensionError
 
 __all__ = ["RandomForestModel", "Tree", "train_random_forest"]
 
@@ -125,9 +126,9 @@ class _Splitter:
     """The split search of one fit, over a batch of nodes at a time."""
 
     def __init__(self, X: np.ndarray, y: np.ndarray | None, labels: np.ndarray | None, k: int,
-                 m: int, min_leaf: int):
+                 m: int):
         self.n, self.p = X.shape
-        self.m, self.min_leaf = m, min_leaf
+        self.m = m
         self.X = X.ravel()
         ranks = _dense_ranks(X)
         self.n_ranks = int(ranks.max()) + 1
@@ -145,7 +146,7 @@ class _Splitter:
         """Cheapest split of each node of a batch.
 
         ``cat`` holds the nodes' row indices one node after another, with
-        ``sizes`` rows each (every node has at least ``2 * min_leaf``), and
+        ``sizes`` rows each (every node has at least 2), and
         ``feats`` their candidate features, one row per node. Returns
         ``(cost, feature, threshold)`` arrays; the cost is ``inf`` where no
         candidate feature has a valid split. Nodes are searched in runs of at
@@ -166,7 +167,7 @@ class _Splitter:
     def _search(self, cat, sizes, width, feats):
         """``best`` for one batch of at most ``_SEARCH_KEYS`` keys; ``width``
         is its largest node."""
-        n, p, m, lo = self.n, self.p, self.m, self.min_leaf
+        n, p, m = self.n, self.p, self.m
         B = len(sizes)
         S = B * m  # segments: node-major, then candidate features in draw order
         starts = sizes.cumsum() - sizes
@@ -188,13 +189,10 @@ class _Splitter:
         seg_ends = seg_sizes.cumsum()
         seg_starts = seg_ends - seg_sizes
         # Sorted element e is valid when splitting before it (e - start rows
-        # left) is: a new rank, at least min_leaf rows on each side.
+        # left) is: a new rank, not the first of its segment.
         valid = np.empty(len(q), dtype=bool)
-        valid[0] = False
         np.not_equal(q[1:], q[:-1], out=valid[1:])
-        valid[(seg_starts[:, None] + np.arange(lo)).ravel()] = False
-        if lo > 1:
-            valid[(seg_ends[:, None] - np.arange(1, lo)).ravel()] = False
+        valid[seg_starts] = False
         ve = valid.nonzero()[0]
         if not len(ve):
             return np.full(B, np.inf), feats[:, 0], np.zeros(B)
@@ -250,18 +248,17 @@ class _Splitter:
         return best, f, np.where(lopsided, below, threshold)
 
 
-def _grow_forest(X, y, labels, k, roots, rngs, *, max_depth, min_leaf, mtry) -> list[Tree]:
-    """Grow one tree per root sample, all in lockstep (see the module docstring)."""
-    n, p = X.shape
-    m = min(mtry, p)
+def _grow_forest(X, y, labels, k, roots, rngs, mtry) -> list[Tree]:
+    """Grow one tree per root sample (at least 2 rows each), all in lockstep
+    (see the module docstring), searching ``mtry`` of the p features
+    (1 <= mtry <= p) at each node."""
+    p = X.shape[1]
     T = len(roots)
-    splitter = _Splitter(X, y, labels, k, m, min_leaf)
+    splitter = _Splitter(X, y, labels, k, mtry)
     regression = labels is None
     add = np.add.reduce
-    min_rows = max(2 * min_leaf, 2)
-    depth_cap = math.inf if max_depth is None else max_depth
-    # Per tree, the nodes still to search: (rows, depth, id, parent cost,
-    # value if it stays a leaf).
+    # Per tree, the nodes still to search: (rows, id, parent cost, value if
+    # it stays a leaf).
     stacks: list[list[tuple]] = [[] for _ in range(T)]
     # Node ids count up across the forest in creation order.
     tree_of = [np.arange(T)]
@@ -269,10 +266,11 @@ def _grow_forest(X, y, labels, k, roots, rngs, *, max_depth, min_leaf, mtry) -> 
     leaves: list[tuple] = []  # (ids, value)
     n_nodes = T
 
-    def settle(ids, trees, depth, cat, sizes):
-        """Settle new nodes: a leaf gets its value, a node to search goes on
-        its tree's stack. Siblings come left then right, and are pushed in
-        reverse so the left one is searched first."""
+    def settle(ids, trees, cat, sizes):
+        """Settle new nodes: a pure one (a one-row node is) is a leaf and gets
+        its value, any other goes on its tree's stack. Siblings come left
+        then right, and are pushed in reverse so the left one is searched
+        first."""
         ends = sizes.cumsum()
         starts = ends - sizes
         st, en, sl = starts.tolist(), ends.tolist(), sizes.tolist()
@@ -287,29 +285,25 @@ def _grow_forest(X, y, labels, k, roots, rngs, *, max_depth, min_leaf, mtry) -> 
             majority = counts.argmax(axis=1)
             nf = sizes.astype(np.float64)
             parent_cost = (nf - (counts * counts).sum(axis=1) / nf).tolist()
-        leaf = pure | (sizes < min_rows) | (depth >= depth_cap)
-        at = leaf.nonzero()[0]
+        at = pure.nonzero()[0]
         if len(at):
             if regression:
                 leaves.append((ids.take(at), np.array([sums[j] / sl[j] for j in at.tolist()])))
             else:
                 leaves.append((ids.take(at), majority.take(at)))
-        ids, depth = ids.tolist(), depth.tolist()
+        ids = ids.tolist()
         if regression:
             y2c = yc * yc
-            for j in reversed((~leaf).nonzero()[0].tolist()):
+            for j in reversed((~pure).nonzero()[0].tolist()):
                 a, b, s, total = st[j], en[j], sl[j], sums[j]
                 cost = float(add(y2c[a:b])) - total * total / s
-                stacks[trees[j]].append((cat[a:b], depth[j], ids[j], cost, total / s))
+                stacks[trees[j]].append((cat[a:b], ids[j], cost, total / s))
         else:
             majority = majority.tolist()
-            for j in reversed((~leaf).nonzero()[0].tolist()):
-                stacks[trees[j]].append(
-                    (cat[st[j]:en[j]], depth[j], ids[j], parent_cost[j], majority[j])
-                )
+            for j in reversed((~pure).nonzero()[0].tolist()):
+                stacks[trees[j]].append((cat[st[j]:en[j]], ids[j], parent_cost[j], majority[j]))
 
-    settle(np.arange(T), list(range(T)), np.zeros(T, dtype=np.int64), np.concatenate(roots),
-           np.array([len(r) for r in roots]))
+    settle(np.arange(T), list(range(T)), np.concatenate(roots), np.array([len(r) for r in roots]))
     # Every unfinished tree searches one node per step, so all of them use up
     # their draws together. The draws' "taken" table has T * chunk * p bytes.
     chunk = max(1, min(_DRAW_CHUNK, (1 << 22) // (T * p)))
@@ -319,8 +313,8 @@ def _grow_forest(X, y, labels, k, roots, rngs, *, max_depth, min_leaf, mtry) -> 
         if not active:
             break
         if step % chunk == 0:
-            drawn = np.zeros((T, chunk, m), dtype=np.int64)
-            drawn[active] = _draw_features([rngs[t] for t in active], p, m, chunk)
+            drawn = np.zeros((T, chunk, mtry), dtype=np.int64)
+            drawn[active] = _draw_features([rngs[t] for t in active], p, mtry, chunk)
         feats = drawn[active, step % chunk]
         step += 1
         batch = [stacks[t].pop() for t in active]
@@ -328,12 +322,12 @@ def _grow_forest(X, y, labels, k, roots, rngs, *, max_depth, min_leaf, mtry) -> 
         cat = np.concatenate([node[0] for node in batch])
         cost, feature, threshold = splitter.best(cat, sl, feats)
 
-        gain = np.array([node[3] for node in batch]) - cost
+        gain = np.array([node[2] for node in batch]) - cost
         stop = gain <= _MIN_GAIN  # NaN gains split, as ``not gain <= _MIN_GAIN``
         if stop.any():
             done = stop.nonzero()[0].tolist()
-            leaves.append((np.array([batch[j][2] for j in done]),
-                           np.array([batch[j][4] for j in done])))
+            leaves.append((np.array([batch[j][1] for j in done]),
+                           np.array([batch[j][3] for j in done])))
             if len(done) == len(batch):
                 continue
         sj = (~stop).nonzero()[0]
@@ -350,13 +344,12 @@ def _grow_forest(X, y, labels, k, roots, rngs, *, max_depth, min_leaf, mtry) -> 
         child_sizes = child_sizes.take(sj, axis=0).ravel()
         child_cat = cat.take(side.argsort(kind="stable")[:child_sizes.sum()])
         ids = np.arange(n_nodes, n_nodes + 2 * len(sjl))
-        splits.append((np.array([batch[j][2] for j in sjl]), feature.take(sj),
+        splits.append((np.array([batch[j][1] for j in sjl]), feature.take(sj),
                        threshold.take(sj), ids[0::2]))
         n_nodes += len(ids)
         trees = [active[j] for j in sjl for _ in (0, 1)]
         tree_of.append(np.array(trees))
-        depth = np.array([batch[j][1] + 1 for j in sjl]).repeat(2)
-        settle(ids, trees, depth, child_cat, child_sizes)
+        settle(ids, trees, child_cat, child_sizes)
 
     return _flatten(n_nodes, np.concatenate(tree_of), splits, leaves, regression, T)
 
@@ -419,7 +412,13 @@ class RandomForestModel:
             node = np.where(inner, np.where(goes_left, left.take(node), right.take(node)), node)
 
     def predict(self, X: np.ndarray):
+        """One prediction per row of ``X``, which has ``n_features`` columns
+        (else WrongDimensionError)."""
         X = np.asarray(X, dtype=np.float64)
+        if X.shape[1:] != (self.n_features,):
+            raise WrongDimensionError(
+                f"forest takes {self.n_features} feature columns, got shape {X.shape}"
+            )
         leaves = self._leaf_values(X)
         if self.mode == "regression":
             preds = np.zeros(len(X))
@@ -439,20 +438,12 @@ def train_random_forest(
     n_trees: int = 100,
     mode: Mode = "regression",
     seed: int = 0,
-    max_depth: int | None = None,
-    min_leaf: int = 1,
-    mtry: int | None = None,
-    bootstrap: bool = True,
 ) -> RandomForestModel:
-    """Train a forest of CART trees on bootstrap samples.
-
-    Feature subsampling defaults to sqrt(p) for classification and
-    ceil(p/3) for regression. ``n_trees``, ``min_leaf`` and ``mtry`` must be
-    at least 1. Features, and regression targets, must be finite.
+    """Train a forest of ``n_trees`` (at least 1) CART trees, as the module
+    docstring sets out. Features, and regression targets, must be finite.
     """
-    for name, value in (("n_trees", n_trees), ("min_leaf", min_leaf), ("mtry", mtry)):
-        if value is not None and value < 1:
-            raise InvalidValueError(f"{name} must be at least 1, got {value}")
+    if n_trees < 1:
+        raise InvalidValueError(f"n_trees must be at least 1, got {n_trees}")
     X = np.asarray(features, dtype=np.float64)
     n, p = X.shape
     if n < 2:
@@ -470,21 +461,16 @@ def train_random_forest(
         labels = np.array([index[c] for c in names], dtype=np.int64)
         y = None
         k = len(classes)
+        mtry = math.isqrt(p)
     else:
         y = np.asarray(targets, dtype=np.float64)
         if not np.isfinite(y).all():
             raise InvalidValueError("forest regression targets must be finite")
-
-    if mtry is None:
-        mtry = max(1, int(math.sqrt(p))) if mode == "classification" else max(
-            1, math.ceil(p / 3)
-        )
+        mtry = math.ceil(p / 3)
 
     rngs = [np.random.default_rng([seed, t]) for t in range(n_trees)]
-    roots = [np.asarray(r.integers(0, n, n)) if bootstrap else np.arange(n) for r in rngs]
+    roots = [np.asarray(r.integers(0, n, n)) for r in rngs]
     # The midpoint of two huge values may overflow; the split search handles it.
     with np.errstate(over="ignore"):
-        trees = _grow_forest(
-            X, y, labels, k, roots, rngs, max_depth=max_depth, min_leaf=min_leaf, mtry=mtry
-        )
+        trees = _grow_forest(X, y, labels, k, roots, rngs, mtry)
     return RandomForestModel(mode=mode, trees=tuple(trees), classes=classes, n_features=p)

@@ -473,13 +473,7 @@ def _parse_block(table: _Table, a: int, b: int, count: int, kind: type, out, slo
     starts, ends = table._starts[a:b], table._ends[a:b]
     base = int(starts[0])
     data = table._source.pread(base, int(ends[-1]))
-    starts, ends = starts - base, ends - base
-    if not (starts[1:] == ends[:-1] + 1).all():
-        # A blank line or a \r\n between rows: the rows are joined by \n.
-        data = b"\n".join(map(data.__getitem__, map(slice, starts.tolist(), ends.tolist())))
-        ends = np.cumsum(ends - starts + 1) - 1
-        starts = np.concatenate([[0], ends[:-1] + 1])
-    values = _parse_rows(data, starts, ends, count)
+    values = _parse_rows(data, starts - base, ends - base, count)
     # An embedding's one rule, finiteness, holds for every parsed value.
     if values is None or (kind is not EmbeddingVector and not kind.rows_pass(values)):
         return False
@@ -496,10 +490,10 @@ def _spans(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 def _parse_rows(data: bytes, starts: np.ndarray, ends: np.ndarray,
                 count: int) -> np.ndarray | None:
     """The ``count`` numbers after the id and year of each row
-    ``data[starts[i]:ends[i]]``, the rows one line-end byte
-    apart, as a (rows, count) matrix; None on a row without ``count + 2``
-    fields, an empty cell, or a cell that ``np.fromstring`` cannot read,
-    that holds blanks or that is not finite.
+    ``data[starts[i]:ends[i]]``, with only line-end bytes (``\\r``, ``\\n``)
+    between the rows, as a (rows, count) matrix; None on a row without
+    ``count + 2`` fields, an empty cell, or a cell that ``np.fromstring``
+    cannot read, that holds blanks or that is not finite.
 
     ``_exact_cells`` parses the cells it can; the rest, or every cell where
     ``np.longdouble`` is not the x87 type, go through one ``np.fromstring``.
@@ -522,10 +516,11 @@ def _parse_rows(data: bytes, starts: np.ndarray, ends: np.ndarray,
     if (cell_ends == cell_starts).any():
         return None  # an empty cell
     if x87.X87:
-        # Line ends become commas, and each row's id and year, with the two
-        # commas after them, become leading zeros of its first cell.
+        # The first byte after each row becomes a comma, and every byte from
+        # there to the next row's first cell (the rest of its line ends, its
+        # id and year and the two commas after them) a leading zero of that cell.
         u[ends[:-1]] = _COMMA
-        u[_spans(starts, cell_starts[::count])] = _ZERO
+        u[_spans(np.r_[starts[:1], ends[:-1] + 1], cell_starts[::count])] = _ZERO
         values, left = _exact_cells(u, cell_starts, cell_ends)
         left = np.flatnonzero(left)
         spans = cell_starts[left], cell_ends[left]

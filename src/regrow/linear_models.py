@@ -1,6 +1,7 @@
 """Ridge linear regression and multinomial logistic regression.
 
-Ridge is solved exactly by the normal equations (intercept unpenalized).
+Ridge is solved exactly by the normal equations with penalty
+``_RIDGE_LAMBDA`` (1e-6) on the coefficients (intercept unpenalized).
 Logistic is full-batch gradient descent on the softmax cross-entropy with
 an L2 penalty; features are standardized internally using statistics from
 the training data only, and the step size is derived from a
@@ -20,6 +21,8 @@ from .errors import SingleClassError, SingularSystemError
 
 __all__ = ["RidgeModel", "train_linear", "LogisticModel", "train_logistic"]
 
+#: L2 penalty on the ridge coefficients (the intercept is not penalized).
+_RIDGE_LAMBDA = 1e-6
 #: L2 penalty on the logistic weights (the bias is not penalized).
 _L2 = 1e-4
 #: Gradient steps after which logistic training stops.
@@ -37,27 +40,23 @@ class RidgeModel:
         return np.asarray(X, dtype=np.float64) @ self.coefficients + self.intercept
 
 
-def train_linear(
-    features: np.ndarray, targets: np.ndarray, ridge_lambda: float = 1e-6
-) -> RidgeModel:
+def train_linear(features: np.ndarray, targets: np.ndarray) -> RidgeModel:
     """Ridge least squares via the normal equations, with intercept.
 
-    Deterministic. Raises SingularSystemError only when ``ridge_lambda``
-    is 0 and the design is collinear.
+    Deterministic. Raises SingularSystemError only for a design with no
+    rows, whose intercept the penalty leaves undetermined.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     n, p = X.shape
     Xa = np.hstack([X, np.ones((n, 1))])
-    penalty = np.diag(np.append(np.full(p, ridge_lambda), 0.0))
+    penalty = np.diag(np.append(np.full(p, _RIDGE_LAMBDA), 0.0))
     lhs = Xa.T @ Xa + penalty
     rhs = Xa.T @ y
     try:
         beta = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError:
-        raise SingularSystemError(
-            "normal equations are singular (collinear features with lambda=0)"
-        ) from None
+        raise SingularSystemError("normal equations are singular (no training rows)") from None
     return RidgeModel(coefficients=beta[:p], intercept=float(beta[p]))
 
 

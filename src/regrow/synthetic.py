@@ -8,7 +8,9 @@ similarity curve) is recorded so downstream claims can be checked against
 an oracle. Forest-family centroids are placed at fixed cosine offsets
 from the secondary-forest centroid and all other classes are kept away
 from the forest family, so the primary-forest band sits above the pasture
-band by construction.
+band by construction. No two centroids have a cosine above
+1 - ``_CENTROID_MIN_SEPARATION`` (0.8), and the changing reference points
+follow the class pairs of ``_TRANSITIONS``.
 """
 
 from __future__ import annotations
@@ -65,8 +67,10 @@ CLASS_ORDER = (
     FOREST_PLANTATION,
 )
 
+#: Least cosine distance, 1 - cosine, between any two class centroids.
+_CENTROID_MIN_SEPARATION = 0.2
 #: Cosine similarity of forest-family centroids to the secondary-forest
-#: centroid (capped at 1 - centroid_min_separation at generation time).
+#: centroid (capped at 1 - _CENTROID_MIN_SEPARATION at generation time).
 _FOREST_COSINES = {
     PRIMARY_FOREST: 0.75,
     FOREST_FORMATION: 0.80,
@@ -83,7 +87,9 @@ _DEFAULT_RATES = {
     Strategy.NOT_IDENTIFIED: 0.04,
 }
 
-_DEFAULT_TRANSITIONS = (
+#: (from, to) classes of the changing reference points, each pair kept
+#: only when the world has both classes.
+_TRANSITIONS = (
     (FOREST_FORMATION, PASTURE),
     (PASTURE, FOREST_FORMATION),
     (FOREST_FORMATION, URBAN),
@@ -103,7 +109,9 @@ class SynthConfig:
     the labels independent of embedding state.
     ``covariate_strategy_signal`` > 0 injects a strategy-dependent offset
     into elevation so environmental features can carry a label signal that
-    embeddings do not.
+    embeddings do not. ``points_per_transition`` changing points are made
+    for each pair of ``_TRANSITIONS``; that pair list and the centroids'
+    ``_CENTROID_MIN_SEPARATION`` are constants of this module.
     """
 
     seed: int = 7
@@ -117,10 +125,8 @@ class SynthConfig:
     recovery_rate_by_strategy: Mapping[Strategy, float] = field(
         default_factory=lambda: dict(_DEFAULT_RATES)
     )
-    centroid_min_separation: float = 0.2
     start_year_spread: int = 0
     points_per_transition: int = 40
-    transitions: tuple[tuple[LULCClass, LULCClass], ...] = _DEFAULT_TRANSITIONS
     covariate_strategy_signal: float = 0.0
 
     def __post_init__(self):
@@ -132,8 +138,6 @@ class SynthConfig:
             raise InvalidValueError("generating sites requires n_classes >= 3")
         if self.noise_sigma < 0:
             raise InvalidValueError("noise_sigma must be >= 0")
-        if not 0 < self.centroid_min_separation <= 1:
-            raise InvalidValueError("centroid_min_separation must be in (0, 1]")
         first, last = self.years
         if first > last:
             raise InvalidValueError("empty year window")
@@ -145,9 +149,6 @@ class SynthConfig:
             rate = self.recovery_rate_by_strategy.get(strategy)
             if rate is None or not 0.0 <= rate <= 1.0:
                 raise InvalidValueError(f"recovery rate for {strategy.value} must be in [0, 1]")
-        for a, b in self.transitions:
-            if a == b:
-                raise InvalidValueError("transition endpoints must differ")
 
     @property
     def classes(self) -> tuple[LULCClass, ...]:
@@ -209,7 +210,7 @@ def _orthogonal_unit(anchor: np.ndarray, rng: np.random.Generator) -> np.ndarray
 
 
 def _sample_centroids(config: SynthConfig, rng: np.random.Generator) -> dict[LULCClass, np.ndarray]:
-    max_cos = 1.0 - config.centroid_min_separation
+    max_cos = 1.0 - _CENTROID_MIN_SEPARATION
     centroids: dict[LULCClass, np.ndarray] = {}
     forest_family = [SECONDARY_FOREST]
 
@@ -290,7 +291,7 @@ def generate_world(config: SynthConfig) -> tuple[Dataset, GroundTruth]:
 
     change_year = 2021  # first year carrying the target class label
     available = set(config.classes)
-    for a, b in config.transitions:
+    for a, b in _TRANSITIONS:
         if a not in available or b not in available:
             continue
         alpha = ((year_array - first) / max(1, last - first))[:, None]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -216,7 +216,7 @@ class AggregateRow:
 
 def aggregate_trajectories(
     trajs: Sequence[SimilarityTrajectory],
-    sites: Sequence[SiteRecord] | Mapping[str, SiteRecord],
+    sites: Sequence[SiteRecord],
     group_by: GroupBy,
 ) -> list[AggregateRow]:
     """Pointwise mean/sd of similarity per (group, delta_t).
@@ -226,8 +226,7 @@ def aggregate_trajectories(
     reports sd = 0. Reduction order is fixed (sorted group, then site_id)
     for bit-reproducibility.
     """
-    if not isinstance(sites, Mapping):
-        sites = {s.site_id: s for s in sites}
+    by_id = {s.site_id: s for s in sites}
 
     def group_label(site: SiteRecord) -> str | None:
         if group_by is GroupBy.START_LULC:
@@ -238,7 +237,7 @@ def aggregate_trajectories(
 
     cells: dict[tuple[str, int], list[tuple[str, float]]] = {}
     for traj in trajs:
-        site = sites.get(traj.site_id)
+        site = by_id.get(traj.site_id)
         if site is None:
             continue
         label = group_label(site)

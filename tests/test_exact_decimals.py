@@ -171,6 +171,30 @@ def test_a_load_without_the_x87_type_reads_the_same_bits(world, monkeypatch):
     assert kernel_calls == []
 
 
+@pytest.mark.parametrize("use_x87", [True, False])
+@pytest.mark.parametrize("gaps", [[b"\n", b"\n"], [b"\r\n", b"\r"], [b"\n\n\r\n", b"\r\n\r\n"]])
+def test_rows_apart_by_any_line_end_bytes_parse_in_place(gaps, use_x87, monkeypatch):
+    monkeypatch.setattr(ingest.x87, "X87", ingest.x87.X87 and use_x87)
+    exact_cells, unparsed = ingest._exact_cells, []
+
+    def recording(*args):
+        values, left = exact_cells(*args)
+        unparsed.append(int(left.sum()))
+        return values, left
+
+    monkeypatch.setattr(ingest, "_exact_cells", recording)
+    rows = [b"a,2017,1.5,-2.25,3", b"bb,2018,0.1,7,-0.0", b"c,2019,1000.5,.5,9.75"]
+    data = rows[0] + gaps[0] + rows[1] + gaps[1] + rows[2]
+    starts = np.array([0, len(rows[0] + gaps[0]), len(rows[0] + gaps[0] + rows[1] + gaps[1])])
+    ends = starts + [len(row) for row in rows]
+    values = ingest._parse_rows(data, starts, ends, 3)
+    want = [[float(cell) for cell in row.split(b",")[2:]] for row in rows]
+    assert [[_bits(v) for v in row] for row in values.tolist()] == \
+        [[_bits(v) for v in row] for row in want]
+    # The line-end bytes between rows leave no cell to numpy.
+    assert unparsed == ([0] if ingest.x87.X87 else [])
+
+
 def test_a_quoted_blank_row_is_one_empty_quoted_field():
     base = {"embeddings.csv": "id,year,A00\ns1,2020,0.5\n"}
     mutated = apply_mutations(base, [("blank", "embeddings.csv", 0, 0, ""),

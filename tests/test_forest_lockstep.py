@@ -21,7 +21,9 @@ from regrow.cli import main
 from regrow.errors import InvalidValueError
 from regrow.forest import _draw_features, train_random_forest
 
-from test_forest_oracle import _as_node, _oracle_forest, _OracleForest, _preorder
+from test_forest_oracle import (
+    _as_node, _lockstep_forest, _oracle_forest, _OracleForest, _preorder,
+)
 
 
 def _same_forest(new, old):
@@ -50,8 +52,6 @@ def lockstep_cases(draw):
         mode=mode,
         n_trees=draw(st.integers(1, 25)),
         seed=draw(st.integers(0, 1000)),
-        min_leaf=draw(st.sampled_from([1, 2, 3])),
-        max_depth=draw(st.sampled_from([None, 1, 3])),
         mtry=draw(st.one_of(st.none(), st.integers(1, p))),
         bootstrap=draw(st.booleans()),
     )
@@ -70,8 +70,8 @@ def test_lockstep_forest_is_the_oracle_forest(case):
     X, targets, kwargs, budgets, probes = case
     with mock.patch.object(forest, "_SEARCH_KEYS", budgets["search_keys"]), \
             mock.patch.object(forest, "_DRAW_CHUNK", budgets["draw_chunk"]):
-        new = train_random_forest(X, targets, **kwargs)
-    old = _oracle_forest(X, targets, **kwargs)
+        new = _lockstep_forest(X, targets, **kwargs)
+    old = _oracle_forest(X, targets, max_depth=None, min_leaf=1, **kwargs)
     assert len(new.trees) == kwargs["n_trees"]
     _same_forest(new, old)
     for rows in (X, probes):
@@ -105,12 +105,18 @@ _BELOW_ONE = math.nextafter(1.0, 0.0)
 
 def test_midpoint_rounding_up_below_larger_values_matches_the_oracle():
     assert 0.5 * (_BELOW_ONE + 1.0) == 1.0
-    X = np.array([[_BELOW_ONE], [1.0], [2.0]])
-    kwargs = dict(n_trees=1, mode="regression", seed=0, max_depth=1, min_leaf=1, mtry=None,
-                  bootstrap=False)
-    new = train_random_forest(X, [0.0, 10.0, 10.0], **kwargs)
-    _same_forest(new, _oracle_forest(X, [0.0, 10.0, 10.0], **kwargs))
-    assert new.trees[0].threshold[0] == 1.0  # rows at 1.0 go left, as in the oracle
+    # The root splits feature 0 between _BELOW_ONE and 1.0; its left child is
+    # split on feature 1, whose split alone is pure (the oracle cannot split
+    # that child on feature 0, see the next test).
+    X = np.array([[_BELOW_ONE, 0.0], [_BELOW_ONE, 1.0], [1.0, 0.0], [2.0, 1.0]])
+    y = [3.0, 10.0, 3.0, 0.0]
+    kwargs = dict(n_trees=1, mode="regression", seed=0, mtry=2, bootstrap=False)
+    new = _lockstep_forest(X, y, **kwargs)
+    _same_forest(new, _oracle_forest(X, y, max_depth=None, min_leaf=1, **kwargs))
+    tree = new.trees[0]
+    # Rows at 1.0 go left, as in the oracle.
+    assert (tree.feature[0], tree.threshold[0]) == (0, 1.0)
+    assert tree.feature[1] == 1
 
 
 @pytest.mark.parametrize("column", [
@@ -123,7 +129,8 @@ def test_lopsided_midpoint_takes_the_lower_value(column):
     # leaf with a NaN value and searched the same rows again, endlessly.
     X = np.array(column)[:, None]
     y = np.r_[0.0, np.ones(len(column) - 1)]
-    model = train_random_forest(X, y, n_trees=1, bootstrap=False)
+    model = _lockstep_forest(X, y, n_trees=1, mode="regression", seed=0, mtry=None,
+                             bootstrap=False)
     tree = model.trees[0]
     assert tree.threshold[0] == column[0]
     assert model.predict(X).tolist() == y.tolist()

@@ -3,7 +3,11 @@
 The oracle below is the recursive one-feature-at-a-time split search, node
 class and per-row prediction walk that the batched search and the flat trees
 replaced. Both must grow the same trees: the same (feature, threshold) at
-every split, the same leaf values, and bitwise-equal predictions.
+every split, the same leaf values, and bitwise-equal predictions. The oracle
+still takes a depth cap and a least leaf size; ``train_random_forest`` grows
+full trees (``max_depth=None, min_leaf=1``), on bootstrap samples, with its
+own ``mtry``. ``_lockstep_forest`` also grows them from unbootstrapped roots
+and with every ``mtry``, through ``forest._grow_forest``.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regrow import forest
 from regrow.forest import _MIN_GAIN, train_random_forest
 
 
@@ -172,6 +177,29 @@ def _oracle_forest(X, targets, n_trees, mode, seed, max_depth, min_leaf, mtry, b
     return _OracleForest(mode, trees, classes)
 
 
+def _lockstep_forest(X, targets, n_trees, mode, seed, mtry, bootstrap):
+    """``train_random_forest``'s forest when ``mtry`` is None and
+    ``bootstrap`` is set (its one configuration); else the forest that
+    ``forest._grow_forest`` grows from the rows of each tree's root (all
+    rows, unless ``bootstrap``) with ``mtry`` candidate features a node."""
+    if mtry is None and bootstrap:
+        return train_random_forest(X, targets, n_trees=n_trees, mode=mode, seed=seed)
+    n, p = X.shape
+    classes, labels, y, k = None, None, None, 0
+    if mode == "classification":
+        classes = tuple(sorted(set(targets)))
+        labels, k = np.array([classes.index(c) for c in targets]), len(classes)
+    else:
+        y = np.asarray(targets, dtype=np.float64)
+    if mtry is None:
+        mtry = math.isqrt(p) if mode == "classification" else math.ceil(p / 3)
+    rngs = [np.random.default_rng([seed, t]) for t in range(n_trees)]
+    roots = [r.integers(0, n, n) if bootstrap else np.arange(n) for r in rngs]
+    with np.errstate(over="ignore"):
+        trees = forest._grow_forest(X, y, labels, k, roots, rngs, mtry)
+    return forest.RandomForestModel(mode, tuple(trees), classes, p)
+
+
 def _as_node(tree, i=0):
     """A flat ``regrow.forest.Tree`` as linked oracle nodes."""
     node = _Node(value=tree.value[i].item())
@@ -218,8 +246,6 @@ def forest_cases(draw):
         mode=mode,
         n_trees=draw(st.integers(1, 4)),
         seed=draw(st.integers(0, 1000)),
-        min_leaf=draw(st.sampled_from([1, 2, 3])),
-        max_depth=draw(st.sampled_from([None, 1, 3])),
         mtry=draw(st.one_of(st.none(), st.integers(1, p))),
         bootstrap=draw(st.booleans()),
     )
@@ -231,8 +257,8 @@ def forest_cases(draw):
 @given(forest_cases())
 def test_vectorized_splitter_grows_the_oracle_forest(case):
     X, targets, kwargs, probes = case
-    new = train_random_forest(X, targets, **kwargs)
-    old = _oracle_forest(X, targets, **kwargs)
+    new = _lockstep_forest(X, targets, **kwargs)
+    old = _oracle_forest(X, targets, max_depth=None, min_leaf=1, **kwargs)
     assert [_preorder(_as_node(t), []) for t in new.trees] == [_preorder(t, []) for t in old.trees]
     for rows in (X, probes):
         got, want = new.predict(rows), old.predict(rows)

@@ -3,9 +3,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from regrow.errors import InvalidValueError, SingleClassError, TooFewPointsError
+from regrow.errors import (
+    InvalidValueError,
+    SingleClassError,
+    SingularSystemError,
+    TooFewPointsError,
+    WrongDimensionError,
+)
 from regrow.forest import train_random_forest
-from regrow.linear_models import train_linear, train_logistic
+from regrow.linear_models import _RIDGE_LAMBDA, train_linear, train_logistic
+
+from test_forest_oracle import _lockstep_forest
 
 
 def two_blobs(n, seed, gap=6.0):
@@ -36,8 +44,8 @@ class TestRidge:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(50, 10))
         y = rng.normal(size=50)
-        lam = 1e-6
-        model = train_linear(X, y, ridge_lambda=lam)
+        lam = _RIDGE_LAMBDA
+        model = train_linear(X, y)
 
         # Independent oracle: explicit pseudo-inverse of the penalized system.
         Xa = np.hstack([X, np.ones((50, 1))])
@@ -50,11 +58,17 @@ class TestRidge:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(40, 5))
         y = rng.normal(size=40)
-        model = train_linear(X, y, ridge_lambda=1e-12)
+        model = train_linear(X, y)
         pred = model.predict(X)
         sse = ((y - pred) ** 2).sum()
         sst = ((y - y.mean()) ** 2).sum()
         assert 1.0 - sse / sst >= 0.0
+
+    def test_only_an_empty_design_is_singular(self):
+        X = np.zeros((3, 2))  # collinear: the penalty still makes a solution
+        assert train_linear(X, np.arange(3.0)).intercept == pytest.approx(1.0)
+        with pytest.raises(SingularSystemError):
+            train_linear(np.zeros((0, 2)), np.zeros(0))
 
 
 class TestLogistic:
@@ -111,9 +125,8 @@ class TestRandomForest:
         rng = np.random.default_rng(6)
         X = rng.normal(size=(40, 3))
         y = rng.normal(size=40)
-        model = train_random_forest(
-            X, y, n_trees=1, seed=0, bootstrap=False, mtry=3
-        )
+        model = _lockstep_forest(X, y, n_trees=1, mode="regression", seed=0, mtry=3,
+                                 bootstrap=False)
         pred = model.predict(X)
         sse = ((pred - y) ** 2).sum()
         sst = ((y - y.mean()) ** 2).sum()
@@ -137,9 +150,8 @@ class TestRandomForest:
 
     def test_vote_tie_breaks_lexicographically(self):
         X = np.array([[0.0], [0.0]])
-        model = train_random_forest(
-            X, ["b", "a"], n_trees=1, mode="classification", seed=0, bootstrap=False
-        )
+        model = _lockstep_forest(X, ["b", "a"], n_trees=1, mode="classification", seed=0,
+                                 mtry=None, bootstrap=False)
         # Constant feature: a single leaf with one vote each; 'a' wins the tie.
         assert model.predict(np.array([[0.0]])) == ["a"]
 
@@ -147,12 +159,20 @@ class TestRandomForest:
         with pytest.raises(TooFewPointsError):
             train_random_forest(np.zeros((1, 2)), [1.0], n_trees=1)
 
-    @pytest.mark.parametrize(
-        "bad", [{"n_trees": 0}, {"n_trees": -2}, {"min_leaf": 0}, {"mtry": 0}]
-    )
+    @pytest.mark.parametrize("bad", [{"n_trees": 0}, {"n_trees": -2}])
     @pytest.mark.parametrize("mode", ["regression", "classification"])
     def test_non_positive_sizes_rejected(self, bad, mode):
         X = np.arange(12.0).reshape(6, 2)
         y = ["a", "b"] * 3 if mode == "classification" else np.arange(6.0)
         with pytest.raises(InvalidValueError):
             train_random_forest(X, y, mode=mode, **bad)
+
+    @pytest.mark.parametrize("mode", ["regression", "classification"])
+    @pytest.mark.parametrize("shape", [(6, 2), (6, 5), (6,), (1, 6, 3)])
+    def test_predict_takes_only_the_training_width(self, mode, shape):
+        X = np.random.default_rng(11).normal(size=(6, 3))
+        y = ["a", "b"] * 3 if mode == "classification" else np.arange(6.0)
+        model = train_random_forest(X, y, n_trees=3, mode=mode)
+        assert len(model.predict(X[:4])) == 4
+        with pytest.raises(WrongDimensionError):
+            model.predict(np.zeros(shape))

@@ -33,6 +33,7 @@ from regrow.synthetic import (
     GroundTruthRecord,
     SynthConfig,
     _BBOX,
+    _TRANSITIONS,
     _sample_centroids,
     generate_world,
 )
@@ -81,7 +82,7 @@ def oracle_generate_world(config: SynthConfig):
 
     change_year = 2021
     available = set(config.classes)
-    for a, b in config.transitions:
+    for a, b in _TRANSITIONS:
         if a not in available or b not in available:
             continue
         for i in range(config.points_per_transition):
@@ -221,11 +222,6 @@ def synth_configs(draw):
     first = draw(st.integers(2015, 2021))
     last = draw(st.integers(first, first + 4))
     rates = draw(st.sampled_from([None, 0.0, 0.07, 1.0]))
-    transitions = draw(st.lists(
-        st.tuples(st.sampled_from(CLASS_ORDER), st.sampled_from(CLASS_ORDER))
-        .filter(lambda pair: pair[0] != pair[1]),
-        max_size=3,
-    ))
     return SynthConfig(
         seed=draw(st.integers(0, 2**32 - 1)),
         dim=draw(st.integers(2, 12)),
@@ -239,10 +235,8 @@ def synth_configs(draw):
             SynthConfig().recovery_rate_by_strategy if rates is None
             else {s: rates for s in Strategy}
         ),
-        centroid_min_separation=draw(st.sampled_from([0.05, 0.2, 0.6])),
         start_year_spread=draw(st.integers(0, last - first)),
         points_per_transition=draw(st.integers(0, 3)),
-        transitions=tuple(transitions),
         covariate_strategy_signal=draw(st.sampled_from([0.0, 1.5])),
     )
 
