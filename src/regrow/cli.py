@@ -3,7 +3,9 @@
 Subcommands: synth, validate, references (classify|build|outliers),
 trajectories, project, predict, report. Configuration is a flat
 ``key = value`` text file; command-line flags override file values. One
-table, ``_SETTINGS``, parses and checks both, and makes the flags. Every
+table, ``_SETTINGS``, parses and checks both, and makes the flags: each
+action offers the flags of the settings that change its outputs, and
+accepts every key in a config file, so one file serves every step. Every
 run writes a manifest (config hash, seed, input checksums, artifact
 hashes) so outputs are reproducible from the manifest alone. On any
 module error, and on SIGINT or SIGTERM, the command removes its partial
@@ -19,6 +21,8 @@ import math
 import signal
 import sys
 import traceback
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -125,8 +129,9 @@ def _names_of(enum: type[Enum]):
 @dataclass(frozen=True)
 class _Key:
     """One setting: its default, the parser of its text (a flag value or a
-    config line), the check of the parsed value, and the subcommands that
-    take it as a flag, ``--key-name`` unless ``flag`` names another."""
+    config line), the check of the parsed value, and the actions (``synth``,
+    ``references build``, ...) whose outputs it changes, which offer it as a
+    flag, ``--key-name`` unless ``flag`` names another."""
 
     default: object
     parse: Callable[[str], object] = str
@@ -136,17 +141,18 @@ class _Key:
     help: str | None = None
 
 
-#: The subcommands that read the input tables: all but synth.
-_READERS = ("validate", "references", "trajectories", "project", "predict", "report")
-_EVERY = ("synth", *_READERS)
-_BUILDS_REFERENCES = ("references", "trajectories", "predict")
+#: The actions that read the input tables: all but synth.
+_READERS = ("validate", "references classify", "references build", "references outliers",
+            "trajectories", "project", "predict", "report")
+#: The actions that score sites against the reference set.
+_SCORES = ("trajectories", "predict")
 _SYNTH = ("synth",)
 
-#: Every setting. A key with no subcommands is set in the config file only.
+#: Every setting. A key with no actions is set in the config file only.
 _SETTINGS = {
     **{key: _Key(None, commands=_READERS, help=f"path to {key}.csv") for key in _INPUT_KEYS},
-    "seed": _Key(0, _int, _at_least(0), _EVERY),
-    "threads": _Key(None, _int, _at_least(1), _EVERY, help=(
+    "seed": _Key(0, _int, _at_least(0), ("synth", "predict")),
+    "threads": _Key(None, _int, _at_least(1), ("synth", *_READERS), help=(
         "cap on worker processes (default: every available core; "
         "results do not depend on it)")),
     "first_year": _Key(2017, _int, commands=_SYNTH),
@@ -159,12 +165,12 @@ _SETTINGS = {
     "change_from_last": _Key(2020, _int),
     "change_to_first": _Key(2021, _int),
     "change_to_last": _Key(2024, _int),
-    "reference_policy": _Key("fixed", check=_one_of("fixed", "per_year"),
-                             commands=_BUILDS_REFERENCES),
-    "reference_year": _Key(2024, _int, commands=(*_BUILDS_REFERENCES, "project")),
+    "reference_policy": _Key("fixed", check=_one_of("fixed", "per_year"), commands=_SCORES),
+    "reference_year": _Key(2024, _int, commands=(
+        "references build", "references outliers", "project", *_SCORES)),
     "outlier_metric": _Key("cosine", check=_one_of("cosine", "euclidean"),
-                           commands=("references",)),
-    "outlier_top_k": _Key(10, _int, _at_least(0), ("references",)),
+                           commands=("references outliers",)),
+    "outlier_top_k": _Key(10, _int, _at_least(0), ("references outliers",)),
     "min_area_ha": _Key(1.0, _float, commands=("validate",)),
     "start_year_min": _Key(2017, _int, commands=("validate",)),
     "start_year_max": _Key(2024, _int, commands=("validate",)),
@@ -391,12 +397,16 @@ def _classify_kwargs(settings: dict) -> dict:
     }
 
 
-def _policy(settings: dict) -> ReferenceYearPolicy:
-    return ReferenceYearPolicy(settings["reference_policy"], settings["reference_year"])
-
-
 def _classified_references(dataset, settings):
     return classify_points(list(dataset.references), **_classify_kwargs(settings))
+
+
+def _references(settings: dict, outputs: RunOutputs):
+    """The dataset, its classified reference points and their reference set."""
+    dataset, _ = _load_dataset(settings, outputs)
+    points = _classified_references(dataset, settings)
+    policy = ReferenceYearPolicy(settings["reference_policy"], settings["reference_year"])
+    return dataset, points, build_reference_set(points, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -442,50 +452,45 @@ def _cmd_validate(args, settings, outputs: RunOutputs) -> None:
     print(f"validate: {report.n_input} sites in, {len(kept)} kept")
 
 
-def _cmd_references(args, settings, outputs: RunOutputs) -> None:
-    """classify stability, build references, rank outliers"""
+def _cmd_classify(args, settings, outputs: RunOutputs) -> None:
+    """classify stability"""
     dataset, _ = _load_dataset(settings, outputs)
-    points = _classified_references(dataset, settings)
+    rows = []
+    for p in _classified_references(dataset, settings):
+        st = p.stability
+        class_from, class_to = st.stable_class or st.from_class, st.to_class
+        rows.append((p.point_id, st.kind.value, class_from.label if class_from else "",
+                     class_to.label if class_to else ""))
+    outputs.write_csv("stability.csv", ["point_id", "stability", "class_from", "class_to"], rows)
 
-    if args.action == "classify":
-        rows = []
-        for p in points:
-            st = p.stability
-            rows.append(
-                (
-                    p.point_id,
-                    st.kind.value,
-                    st.stable_class.label if st.stable_class else (st.from_class.label if st.from_class else ""),
-                    st.to_class.label if st.to_class else "",
-                )
-            )
-        outputs.write_csv("stability.csv", ["point_id", "stability", "class_from", "class_to"], rows)
-        return
 
-    refset = build_reference_set(points, _policy(settings))
-    if args.action == "build":
-        outputs.write_csv(
-            "global_reference.csv",
-            ["index", "value"],
-            enumerate(refset.global_ref.values),
-        )
-        outputs.write_csv(
-            "centroids.csv",
-            ["class", "index", "value"],
-            (
-                (cls.label, i, v)
-                for cls in sorted(refset.centroids, key=lambda c: c.label)
-                for i, v in enumerate(refset.centroids[cls].values)
-            ),
-        )
-        outputs.write_csv(
-            "secondary_points.csv",
-            ["point_id", "lon", "lat"],
-            ((p.point_id, p.lon, p.lat) for p in refset.secondary_points),
-        )
-        return
+def _cmd_build(args, settings, outputs: RunOutputs) -> None:
+    """build references"""
+    _, _, refset = _references(settings, outputs)
+    outputs.write_csv(
+        "global_reference.csv",
+        ["index", "value"],
+        enumerate(refset.global_ref.values),
+    )
+    outputs.write_csv(
+        "centroids.csv",
+        ["class", "index", "value"],
+        (
+            (cls.label, i, v)
+            for cls in sorted(refset.centroids, key=lambda c: c.label)
+            for i, v in enumerate(refset.centroids[cls].values)
+        ),
+    )
+    outputs.write_csv(
+        "secondary_points.csv",
+        ["point_id", "lon", "lat"],
+        ((p.point_id, p.lon, p.lat) for p in refset.secondary_points),
+    )
 
-    # outliers
+
+def _cmd_outliers(args, settings, outputs: RunOutputs) -> None:
+    """rank outliers"""
+    _, points, refset = _references(settings, outputs)
     rows = []
     for cls in sorted(refset.centroids, key=lambda c: c.label):
         report = detect_outliers(
@@ -502,9 +507,7 @@ def _cmd_references(args, settings, outputs: RunOutputs) -> None:
 
 def _cmd_trajectories(args, settings, outputs: RunOutputs) -> None:
     """similarity trajectories, aggregates, baselines"""
-    dataset, _ = _load_dataset(settings, outputs)
-    points = _classified_references(dataset, settings)
-    refset = build_reference_set(points, _policy(settings))
+    dataset, points, refset = _references(settings, outputs)
 
     kinds = {
         "global": [ReferenceKind.GLOBAL],
@@ -605,9 +608,7 @@ def _cmd_project(args, settings, outputs: RunOutputs) -> None:
 
 def _cmd_predict(args, settings, outputs: RunOutputs) -> None:
     """run the prediction tasks under spatial CV"""
-    dataset, _ = _load_dataset(settings, outputs)
-    points = _classified_references(dataset, settings)
-    refset = build_reference_set(points, _policy(settings))
+    dataset, _, refset = _references(settings, outputs)
     feature_sets = _parse_enum_list(settings["feature_sets"], FeatureSet)
     requested_models = _parse_enum_list(settings["models"], ModelKind)
 
@@ -665,38 +666,28 @@ def _cmd_report(args, settings, outputs: RunOutputs) -> None:
     dataset, _ = _load_dataset(settings, outputs)
     sites = dataset.sites
 
-    strategy_counts: dict[str, int] = {s.value: 0 for s in Strategy}
-    for site in sites:
-        strategy_counts[site.strategy.value] += 1
+    strategies = Counter(site.strategy.value for site in sites)
     outputs.write_csv(
-        "strategy_counts.csv", ["strategy", "count"], sorted(strategy_counts.items())
+        "strategy_counts.csv", ["strategy", "count"],
+        sorted((s.value, strategies[s.value]) for s in Strategy),
     )
-
-    year_counts: dict[int, int] = {}
-    for site in sites:
-        year_counts[site.start_year] = year_counts.get(site.start_year, 0) + 1
-    outputs.write_csv(
-        "start_year_counts.csv", ["start_year", "count"], sorted(year_counts.items())
-    )
-
-    bins = list(zip(_AREA_BIN_EDGES, _AREA_BIN_EDGES[1:]))
-    counts = [0] * len(bins)
-    for site in sites:
-        for i, (lo, hi) in enumerate(bins):
-            if lo <= site.area_ha < hi:
-                counts[i] += 1
-                break
+    years = Counter(site.start_year for site in sites)
+    outputs.write_csv("start_year_counts.csv", ["start_year", "count"], sorted(years.items()))
+    # Bin i holds the areas in [edge i, edge i + 1).
+    bins = Counter(bisect_right(_AREA_BIN_EDGES, site.area_ha) - 1 for site in sites)
     outputs.write_csv(
         "area_histogram.csv",
         ["bin_low", "bin_high", "count"],
-        [(lo, hi, c) for (lo, hi), c in zip(bins, counts)],
+        [(lo, hi, bins[i]) for i, (lo, hi) in enumerate(zip(_AREA_BIN_EDGES, _AREA_BIN_EDGES[1:]))],
     )
 
 
 _HANDLERS = {
     "synth": _cmd_synth,
     "validate": _cmd_validate,
-    "references": _cmd_references,
+    "references classify": _cmd_classify,
+    "references build": _cmd_build,
+    "references outliers": _cmd_outliers,
     "trajectories": _cmd_trajectories,
     "project": _cmd_project,
     "predict": _cmd_predict,
@@ -709,11 +700,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="regrow",
         description="Restoration-progress analytics from annual embedding vectors",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    commands = parser.add_subparsers(dest="subcommand", required=True)
+    actions = {}  # a command with actions -> the sub-parsers of its actions
     for name, handler in _HANDLERS.items():
-        p = sub.add_parser(name, help=handler.__doc__)
-        if name == "references":
-            p.add_argument("action", choices=["classify", "build", "outliers"])
+        command, _, action = name.partition(" ")
+        if action and command not in actions:
+            docs = [h.__doc__ for n, h in _HANDLERS.items() if n.startswith(f"{command} ")]
+            actions[command] = commands.add_parser(
+                command, help=", ".join(docs)).add_subparsers(required=True)
+        p = (actions[command] if action else commands).add_parser(
+            action or name, help=handler.__doc__)
+        p.set_defaults(action=name)  # the key of its handler
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--output-dir", required=True)
         if name in _READERS:
@@ -762,7 +759,7 @@ def main(argv=None) -> int:
     previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         settings = _resolve_settings(args)
-        _HANDLERS[args.subcommand](args, settings, outputs)
+        _HANDLERS[args.action](args, settings, outputs)
         outputs.write_manifest(args.subcommand, settings)
     except (Exception, KeyboardInterrupt) as exc:
         outputs.discard()

@@ -346,6 +346,19 @@ def stack_rows(rows: Sequence) -> np.ndarray:
     return matrix
 
 
+def design_matrix(features) -> np.ndarray:
+    """``features`` as the float64 matrix a model fits: two-dimensional with
+    one or more columns (else WrongDimensionError), every value finite (else
+    InvalidValueError)."""
+    X = np.asarray(features, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] == 0:
+        raise WrongDimensionError(
+            f"a model takes a design of one or more columns, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise InvalidValueError("model features must be finite (impute NaNs first)")
+    return X
+
+
 class YearMap(Mapping):
     """A read-only ``{year: value}`` map: ``years``, a sorted tuple, and
     ``matrix``, their read-only C-contiguous float64 rows, often a view of a

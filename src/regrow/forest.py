@@ -56,6 +56,7 @@ from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
+from .core import design_matrix
 from .errors import InvalidValueError, TooFewPointsError, WrongDimensionError
 
 __all__ = ["RandomForestModel", "Tree", "train_random_forest"]
@@ -440,16 +441,19 @@ def train_random_forest(
     seed: int = 0,
 ) -> RandomForestModel:
     """Train a forest of ``n_trees`` (at least 1) CART trees, as the module
-    docstring sets out. Features, and regression targets, must be finite.
+    docstring sets out. ``mode`` is "regression" or "classification". The
+    design has at least one column (else WrongDimensionError); features, and
+    regression targets, must be finite.
     """
     if n_trees < 1:
         raise InvalidValueError(f"n_trees must be at least 1, got {n_trees}")
-    X = np.asarray(features, dtype=np.float64)
+    if mode not in ("regression", "classification"):
+        raise InvalidValueError(
+            f"forest mode must be 'regression' or 'classification', got {mode!r}")
+    X = design_matrix(features)
     n, p = X.shape
     if n < 2:
         raise TooFewPointsError(f"need at least 2 training rows, got {n}")
-    if not np.isfinite(X).all():
-        raise InvalidValueError("forest features must be finite (impute NaNs first)")
 
     classes: tuple[str, ...] | None = None
     labels = None

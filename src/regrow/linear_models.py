@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SingleClassError, SingularSystemError
+from .core import design_matrix
+from .errors import InvalidValueError, SingleClassError, SingularSystemError
 
 __all__ = ["RidgeModel", "train_linear", "LogisticModel", "train_logistic"]
 
@@ -43,11 +44,14 @@ class RidgeModel:
 def train_linear(features: np.ndarray, targets: np.ndarray) -> RidgeModel:
     """Ridge least squares via the normal equations, with intercept.
 
-    Deterministic. Raises SingularSystemError only for a design with no
-    rows, whose intercept the penalty leaves undetermined.
+    Deterministic. The design must have a column and, like the targets, be
+    finite. Raises SingularSystemError only for a design with no rows, whose
+    intercept the penalty leaves undetermined.
     """
-    X = np.asarray(features, dtype=np.float64)
+    X = design_matrix(features)
     y = np.asarray(targets, dtype=np.float64)
+    if not np.isfinite(y).all():
+        raise InvalidValueError("linear regression targets must be finite")
     n, p = X.shape
     Xa = np.hstack([X, np.ones((n, 1))])
     penalty = np.diag(np.append(np.full(p, _RIDGE_LAMBDA), 0.0))
@@ -106,9 +110,10 @@ def train_logistic(features: np.ndarray, labels: Sequence[str]) -> LogisticModel
     The L2 penalty is ``_L2`` (1e-4) and the step is 1/L, L a bound on the
     curvature, which guarantees descent. Training starts from zero weights
     and stops once no gradient entry exceeds ``_TOL`` (1e-7) or after
-    ``_MAX_EPOCHS`` (500) steps, so it is deterministic.
+    ``_MAX_EPOCHS`` (500) steps, so it is deterministic. The design must
+    have a column and be finite.
     """
-    X = np.asarray(features, dtype=np.float64)
+    X = design_matrix(features)
     y = list(labels)
     classes = tuple(sorted(set(y)))
     if len(classes) < 2:

@@ -367,17 +367,17 @@ def _run_pipeline(base: Path, seed: int):
     world = base / "world"
     steps = [
         ["synth", "--output-dir", str(world), "--seed", str(seed)],
+        # Only synth and predict draw random numbers, so only they take --seed.
         ["references", "classify", "--inputs-dir", str(world),
-         "--output-dir", str(base / "refs"), "--seed", str(seed)],
+         "--output-dir", str(base / "refs")],
         ["references", "build", "--inputs-dir", str(world),
-         "--output-dir", str(base / "refs"), "--seed", str(seed)],
+         "--output-dir", str(base / "refs")],
         ["references", "outliers", "--inputs-dir", str(world),
-         "--output-dir", str(base / "refs"), "--seed", str(seed)],
+         "--output-dir", str(base / "refs")],
         ["trajectories", "--inputs-dir", str(world),
-         "--output-dir", str(base / "traj"), "--aggregate", "strategy",
-         "--seed", str(seed)],
+         "--output-dir", str(base / "traj"), "--aggregate", "strategy"],
         ["project", "--inputs-dir", str(world),
-         "--output-dir", str(base / "proj"), "--seed", str(seed)],
+         "--output-dir", str(base / "proj")],
         ["predict", "--inputs-dir", str(world),
          "--output-dir", str(base / "pred"), "--seed", str(seed), "--t0", "1"],
     ]

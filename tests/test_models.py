@@ -176,3 +176,57 @@ class TestRandomForest:
         assert len(model.predict(X[:4])) == 4
         with pytest.raises(WrongDimensionError):
             model.predict(np.zeros(shape))
+
+
+def _fit(trainer, X, y, mode="regression"):
+    """Fit one of the three trainers; labels alternate a, b for a classifier."""
+    labels = ["a", "b"] * (len(y) // 2)
+    if trainer == "linear":
+        return train_linear(X, y)
+    if trainer == "logistic":
+        return train_logistic(X, labels)
+    return train_random_forest(X, labels if mode == "classification" else y, 3, mode, 0)
+
+
+def _set(a, index, value):
+    a = a.copy()
+    a[index] = value
+    return a
+
+
+_X = np.random.default_rng(3).normal(size=(6, 3))
+_Y = np.arange(6.0)
+
+
+#: (case, the trainers it applies to, X, y, forest mode, error). A logistic
+#: model takes labels, not targets, and only the forest has a mode.
+_UNFITTABLE = [
+    ("no_columns", "linear logistic forest", _X[:, :0], _Y, "regression", WrongDimensionError),
+    ("no_columns_classification", "forest", _X[:, :0], _Y, "classification",
+     WrongDimensionError),
+    ("one_dimensional", "linear logistic forest", _X[:, 0], _Y, "regression",
+     WrongDimensionError),
+    ("nan_feature", "linear logistic forest", _set(_X, (1, 2), np.nan), _Y, "regression",
+     InvalidValueError),
+    ("inf_feature", "linear logistic forest", _set(_X, (3, 0), np.inf), _Y, "classification",
+     InvalidValueError),
+    ("minus_inf_feature", "linear logistic forest", _set(_X, (0, 1), -np.inf), _Y,
+     "regression", InvalidValueError),
+    ("nan_target", "linear forest", _X, _set(_Y, 4, np.nan), "regression", InvalidValueError),
+    ("inf_target", "linear forest", _X, _set(_Y, 2, np.inf), "regression", InvalidValueError),
+    ("mode_Regression", "forest", _X, _Y, "Regression", InvalidValueError),
+    ("mode_empty", "forest", _X, _Y, "", InvalidValueError),
+]
+
+
+@pytest.mark.parametrize("trainer, X, y, mode, error", [
+    pytest.param(trainer, X, y, mode, error, id=f"{trainer}-{case}")
+    for case, trainers, X, y, mode, error in _UNFITTABLE for trainer in trainers.split()
+])
+def test_what_a_trainer_cannot_fit_is_a_regrow_error(trainer, X, y, mode, error):
+    """Each trainer fits the clean design, and rejects a design with no
+    columns or a non-finite value, and a forest mode it does not know, with
+    a RegrowError rather than a bare numpy error or a model."""
+    assert _fit(trainer, _X, _Y) is not None
+    with pytest.raises(error):
+        _fit(trainer, X, y, mode)

@@ -213,6 +213,29 @@ class TestSynthRules:
                     "--config", cfg]) == 0
 
 
+#: (action, flag, value): offerings that changed none of their action's
+#: outputs on any world, and are withdrawn. Only synth and predict draw
+#: random numbers; classify reads no reference or outlier setting; build
+#: writes the reference year's references under either policy.
+WITHDRAWN = [
+    (["references", "classify"], "--seed", "3"),
+    (["references", "classify"], "--reference-policy", "per_year"),
+    (["references", "classify"], "--reference-year", "2022"),
+    (["references", "classify"], "--outlier-metric", "euclidean"),
+    (["references", "classify"], "--outlier-top-k", "2"),
+    (["references", "build"], "--seed", "3"),
+    (["references", "build"], "--reference-policy", "per_year"),
+    (["references", "build"], "--outlier-metric", "euclidean"),
+    (["references", "build"], "--outlier-top-k", "2"),
+    (["references", "outliers"], "--seed", "3"),
+    (["references", "outliers"], "--reference-policy", "per_year"),
+    (["validate"], "--seed", "3"),
+    (["trajectories"], "--seed", "3"),
+    (["project"], "--seed", "3"),
+    (["report"], "--seed", "3"),
+]
+
+
 class TestFlags:
     @pytest.mark.parametrize("argv", [
         ["validate", "--n-trees", "2"],
@@ -222,6 +245,7 @@ class TestFlags:
         ["report", "--min-area-ha", "2"],
         ["synth", "--embeddings", "nothing.csv"],
         ["synth", "--inputs-dir", "/nonexistent"],
+        *([*action, flag, value] for action, flag, value in WITHDRAWN),
     ])
     def test_flags_a_command_does_not_use_are_usage_errors(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
