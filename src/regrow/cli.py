@@ -580,7 +580,11 @@ def _cmd_project(args, settings, outputs: RunOutputs) -> None:
     if len(stable) < 3:
         raise DegenerateDataError(f"need at least 3 stable reference points with an "
                                   f"embedding for year {year}, got {len(stable)}")
-    model = fit_projection([p.embeddings[year] for p in stable])
+    embeddings = [p.embeddings[year] for p in stable]
+    model = fit_projection(embeddings)
+    # Scored before the paths exist, so its distance block never sits on top of them.
+    score = silhouette_score(embeddings, [p.stability.stable_class.label for p in stable])
+    outputs.write_csv("silhouette.csv", ["metric", "value"], [("cosine_silhouette", score)])
     outputs.write_csv(
         "projection_model.csv",
         ["component", "index", "value"],
@@ -598,12 +602,6 @@ def _cmd_project(args, settings, outputs: RunOutputs) -> None:
         ["id", "label", "year", "x", "y"],
         ((rid, labels.get(rid, ""), y, px, py) for rid, y, px, py in rows),
     )
-
-    score = silhouette_score(
-        [p.embeddings[year] for p in stable],
-        [p.stability.stable_class.label for p in stable],
-    )
-    outputs.write_csv("silhouette.csv", ["metric", "value"], [("cosine_silhouette", score)])
 
 
 def _cmd_predict(args, settings, outputs: RunOutputs) -> None:

@@ -78,7 +78,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from stat import S_ISREG
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -829,13 +829,15 @@ def load_reference_points(
     lulc_years: tuple[int, int] = DEFAULT_LULC_YEARS,
     window: tuple[int, int] = (2017, 2024),
     lulc_codes: LULCCodeMap = DEFAULT_LULC_CODES,
+    site_ids: Collection[str] = (),
 ) -> list[ReferencePoint]:
     """Load reference points; stability is left unclassified.
 
     The header must contain lulc_<Y> for every year in ``lulc_years``;
     otherwise MissingYearColumnError is raised. A code missing from
     ``lulc_codes`` is kept as Other(code), with one warning per code and
-    its cell count once the file is loaded.
+    its cell count once the file is loaded. A point_id in ``site_ids`` is
+    a DuplicateKeyError: sites and points share one embeddings table.
     """
     with _Table(meta_path) as table:
         header = table.header
@@ -862,6 +864,8 @@ def load_reference_points(
                 raise MissingMetadataFieldError("empty point_id")
             if point_id in seen:
                 raise DuplicateKeyError(f"duplicate point_id {point_id!r}")
+            if point_id in site_ids:
+                raise DuplicateKeyError(f"point_id {point_id!r} is also a site_id")
             seen.add(point_id)
             series = {}
             for year, idx in year_cols.items():
@@ -946,5 +950,6 @@ def load_dataset(
         lulc_years=lulc_years,
         window=window,
         lulc_codes=codes,
+        site_ids={s.site_id for s in sites}.union(skipped),
     )
     return Dataset(sites=tuple(sites), references=tuple(references), window=window), skipped

@@ -6,9 +6,12 @@ it serves the same purpose here (plot-ready cluster inspection tables).
 The sign convention forces each component's largest-magnitude entry
 positive so repeated fits are identical.
 
-The silhouette takes its cosine distances one block of rows at a time
-(``_BLOCK_CELLS`` distances, ~8 MB), so its memory does not grow with the
-square of the number of points.
+The stage holds no copy of its rows beyond one stack per call: the PCA
+centres its stack in place and the silhouette normalises its own, the paths
+are centred and projected ``_PATH_ROWS`` rows at a time, and the silhouette
+takes its cosine distances one block of rows at a time (``_BLOCK_CELLS``
+distances, ~8 MB), so its memory does not grow with the square of the
+number of points.
 """
 
 from __future__ import annotations
@@ -26,9 +29,17 @@ from .errors import DegenerateDataError, SingleClusterError, WrongDimensionError
 #: dim 64, 5 labels (median of 7): at n=5000 the dense matrix took 0.47 s
 #: and a 246.6 MB traced peak; blocks of 64-192 rows took 0.25-0.27 s,
 #: 256 rows 0.26-0.31 s, 512 rows 0.36 s and 1024 rows 0.40 s. This budget
-#: gives 200 rows at n=5000 (~15 MB peak), 100 at n=10000 and 500 at
-#: n=2000, each within a few percent of the fastest height measured.
+#: gives 200 rows at n=5000 (12.5 MB traced peak: the block, the 2.6 MB
+#: normalised stack and one label's compressed columns), 100 at n=10000 and
+#: 500 at n=2000, each within a few percent of the fastest height measured.
 _BLOCK_CELLS = 1_000_000
+
+#: Rows ``trajectory_paths_2d`` centres and projects at a time (512 KB at dim
+#: 64). Measured on 40,000 x 64 rows (5,000 records of 8): 256-4096 rows took
+#: 22-34 ms against 27-41 ms for one stack of every row; 1024 rows add
+#: nothing traced to the id, year and coordinate lists (1.5 MB), 4096 rows
+#: 1.6 MB and 8192 rows 4.4 MB, where the one stack added 22.9 MB.
+_PATH_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -50,14 +61,14 @@ def fit_projection(embeddings: Sequence[EmbeddingVector]) -> ProjectionModel:
         raise DegenerateDataError(f"need at least 3 vectors, got {len(embeddings)}")
     X = np.stack([e.values for e in embeddings])
     mean = X.mean(axis=0)
-    centered = X - mean
-    scale = float(np.abs(X).max())
-    if float(np.abs(centered).max()) <= 1e-12 * max(scale, 1.0):
+    scale = _max_abs(X)
+    X -= mean  # centred in place: the stack is this function's own copy
+    if _max_abs(X) <= 1e-12 * max(scale, 1.0):
         raise DegenerateDataError("all points identical")
 
     # SVD of the centered matrix: right singular vectors are the principal
     # directions, singular values give the explained variance.
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+    _, svals, vt = np.linalg.svd(X, full_matrices=False)
     components = []
     for i in range(2):
         c = vt[i]
@@ -74,6 +85,11 @@ def fit_projection(embeddings: Sequence[EmbeddingVector]) -> ProjectionModel:
     )
 
 
+def _max_abs(X: np.ndarray) -> float:
+    """``np.abs(X).max()`` without its temporary: negation is exact."""
+    return max(float(X.max()), -float(X.min()))
+
+
 def project(model: ProjectionModel, e: EmbeddingVector) -> tuple[float, float]:
     """Project one embedding onto the two principal directions."""
     if e.dim != model.mean.dim:
@@ -88,7 +104,11 @@ def project(model: ProjectionModel, e: EmbeddingVector) -> tuple[float, float]:
 def trajectory_paths_2d(
     records: Sequence[ReferencePoint | SiteRecord], model: ProjectionModel
 ) -> list[tuple[str, int, float, float]]:
-    """Per-year projected coordinates, sorted by (id, year)."""
+    """Per-year projected coordinates, sorted by (id, year).
+
+    Rows whose (id, year) repeat, which only a repeated id gives, fall in
+    order of their coordinates, so the rows do not depend on record order.
+    """
     dim = model.mean.dim
     ids, years, blocks = [], [], []
     for rec in (r for r in records if r.embeddings):
@@ -99,14 +119,30 @@ def trajectory_paths_2d(
         ids += [rec_id] * len(matrix)
         years += rec.embeddings.years
         blocks.append(matrix)
-    if not blocks:
-        return []
-    # vecdot over C-contiguous rows rounds as the np.dot of ``project``.
-    centered = np.concatenate(blocks)
-    centered -= model.mean.values
-    xs = np.vecdot(centered, model.components[0].values).tolist()
-    ys = np.vecdot(centered, model.components[1].values).tolist()
-    return sorted(zip(ids, years, xs, ys), key=lambda r: (r[0], r[1]))
+    # vecdot over C-contiguous rows rounds as the np.dot of ``project``,
+    # whatever the chunk a row falls in.
+    xs, ys = [], []
+    for chunk in _row_chunks(blocks, _PATH_ROWS):
+        chunk -= model.mean.values
+        xs += np.vecdot(chunk, model.components[0].values).tolist()
+        ys += np.vecdot(chunk, model.components[1].values).tolist()
+    return sorted(zip(ids, years, xs, ys))
+
+
+def _row_chunks(blocks: list[np.ndarray], rows: int):
+    """The rows of ``blocks`` in order, ``rows`` at a time (fewer in the last
+    chunk), each chunk a new C-contiguous array that the caller may modify."""
+    pending, held = [], 0
+    for block in blocks:
+        while len(block):
+            pending.append(block[:rows - held])
+            held += len(pending[-1])
+            block = block[len(pending[-1]):]
+            if held == rows:
+                yield np.concatenate(pending)
+                pending, held = [], 0
+    if pending:
+        yield np.concatenate(pending)
 
 
 def silhouette_score(
@@ -122,11 +158,11 @@ def silhouette_score(
         raise WrongDimensionError("embeddings and labels must have equal length")
     if len(set(labels)) < 2:
         raise SingleClusterError("silhouette requires at least 2 distinct labels")
-    X = np.stack([e.values for e in embeddings])
-    norms = np.linalg.norm(X, axis=1)
+    unit = np.stack([e.values for e in embeddings])
+    norms = np.linalg.norm(unit, axis=1)
     if np.any(norms == 0.0):
         raise ZeroVectorError("cosine distance undefined for a zero vector")
-    unit = X / norms[:, None]
+    unit /= norms[:, None]  # normalised in place: the stack is this function's own copy
 
     n = len(labels)
     unique, label_idx = np.unique(np.asarray(labels), return_inverse=True)

@@ -130,6 +130,29 @@ class TestErrors:
             "invalid_value", str(cfg), line
         )
 
+    @pytest.mark.parametrize("subcommand", ["validate", "project"])
+    def test_a_point_id_that_is_also_a_site_id_is_a_duplicate_key(
+            self, world_dir, tmp_path, capsys, subcommand):
+        # The point reads the site's embedding rows once its own are gone.
+        world = tmp_path / "world"
+        shutil.copytree(world_dir, world)
+        points = (world / "reference_points.csv").read_text().split("\n")
+        line, point = next((i + 1, row.split(",")[0]) for i, row in enumerate(points)
+                           if row.startswith("chg_"))
+        site = (world / "sites.csv").read_text().split("\n")[1].split(",")[0]
+        points[line - 1] = site + points[line - 1][len(point):]
+        (world / "reference_points.csv").write_text("\n".join(points))
+        embeddings = (world / "embeddings.csv").read_text().split("\n")
+        (world / "embeddings.csv").write_text(
+            "\n".join(row for row in embeddings if not row.startswith(point + ",")))
+        out = tmp_path / "o"
+        assert run([subcommand, "--inputs-dir", world, "--output-dir", out]) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert (record["error"], record["file"], record["line"]) == (
+            "duplicate_key", str(world / "reference_points.csv"), line)
+        assert repr(site) in record["message"]
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("value", ["yes", "1", "no", "", "truthy"])
     def test_config_bool_must_be_true_or_false(self, world_dir, tmp_path, capsys, value):
         cfg = tmp_path / "run.cfg"

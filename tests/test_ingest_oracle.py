@@ -295,6 +295,7 @@ def _oracle_load_reference_points(
     lulc_years: tuple[int, int] = DEFAULT_LULC_YEARS,
     window: tuple[int, int] = (2017, 2024),
     lulc_codes: LULCCodeMap = DEFAULT_LULC_CODES,
+    site_ids: frozenset[str] = frozenset(),
 ) -> list[ReferencePoint]:
     """Load reference points; stability is left unclassified.
 
@@ -331,6 +332,8 @@ def _oracle_load_reference_points(
             raise MissingMetadataFieldError("empty point_id", line=line)
         if point_id in seen:
             raise DuplicateKeyError(f"duplicate point_id {point_id!r}", line=line)
+        if point_id in site_ids:
+            raise DuplicateKeyError(f"point_id {point_id!r} is also a site_id", line=line)
         seen.add(point_id)
         series = {
             year: lulc_codes.class_for_code(_oracle_parse_int(row[idx], f"lulc_{year}", line))
@@ -380,6 +383,7 @@ def _oracle_load_dataset(
         lulc_years=lulc_years,
         window=window,
         lulc_codes=codes,
+        site_ids=frozenset([s.site_id for s in sites] + skipped),
     )
     return Dataset(sites=tuple(sites), references=tuple(references), window=window), skipped
 

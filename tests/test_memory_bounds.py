@@ -1,5 +1,7 @@
-"""Memory bounds of the largest temporaries: the silhouette's distances, the
-bulk parse of a table's numeric text, and the load of a table's file.
+"""Memory bounds of the largest temporaries: the projection stage (the PCA's
+centring, the paths' rows, the silhouette's distances and the ``project``
+command that runs them), the bulk parse of a table's numeric text, and the
+load of a table's file.
 
 ``tracemalloc`` sees Python objects and the numpy buffers that numpy
 allocates itself, so each traced peak below counts every array the call
@@ -20,9 +22,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regrow import ingest
-from regrow.core import EmbeddingVector
-from regrow.projection import silhouette_score
+from regrow import cli, ingest
+from regrow.core import EmbeddingVector, SiteRecord, Strategy
+from regrow.projection import fit_projection, silhouette_score, trajectory_paths_2d
 
 
 def _traced_peak(fn) -> int:
@@ -36,6 +38,41 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def _traced_above_result(fn) -> int:
+    """Bytes ``fn()`` allocated at its peak above what its result still holds."""
+    tracemalloc.start()
+    try:
+        result = fn()  # noqa: F841 - alive while the traced memory is read
+        live, peak = tracemalloc.get_traced_memory()
+        return peak - live
+    finally:
+        tracemalloc.stop()
+
+
+def test_paths_hold_no_stack_of_the_rows():
+    # 5,000 records of 8 rows: a 40,000 x 64 matrix of 20.5 MB. Measured
+    # (Python 3.11, numpy 2.4): 1.5 MB above the returned rows, their id,
+    # year and coordinate lists; one stack of every row was 24.3 MB.
+    rng = np.random.default_rng(2)
+    model = fit_projection([EmbeddingVector(row) for row in rng.normal(size=(50, 64))])
+    sites = [
+        SiteRecord(site_id=f"s{i:05d}", centroid_lon=-47.0, centroid_lat=-22.0, area_ha=2.0,
+                   start_year=2020, strategy=Strategy.FULL_AREA_PLANTING,
+                   embeddings={2017 + k: EmbeddingVector(r) for k, r in enumerate(rows)})
+        for i, rows in enumerate(rng.normal(size=(5000, 8, 64)))
+    ]
+    assert _traced_above_result(lambda: trajectory_paths_2d(sites, model)) < 40_000 * 64 * 8 / 4
+
+
+def test_fit_projection_centres_its_stack_in_place():
+    # Measured (Python 3.11, numpy 2.4) at n=5000, dim 64: 5.16 MB, the
+    # stack and the SVD's left vectors (2.56 MB each); a centred copy and
+    # the np.abs temporaries made it 7.72 MB.
+    n = 5000
+    embs = [EmbeddingVector(row) for row in np.random.default_rng(3).normal(size=(n, 64))]
+    assert _traced_peak(lambda: fit_projection(embs)) < 2.5 * n * 64 * 8
+
+
 def test_silhouette_never_holds_the_distance_matrix():
     n = 3000
     rng = np.random.default_rng(0)
@@ -43,6 +80,27 @@ def test_silhouette_never_holds_the_distance_matrix():
     labels = [f"L{int(k)}" for k in rng.integers(0, 5, size=n)]
     # The n x n float64 matrix alone is n * n * 8 bytes (72 MB).
     assert _traced_peak(lambda: silhouette_score(embs, labels)) < n * n * 8 / 4
+
+
+@pytest.fixture(scope="module")
+def seed7_world(tmp_path_factory):
+    out = tmp_path_factory.mktemp("seed7")
+    assert cli.main(["synth", "--seed", "7", "--output-dir", str(out)]) == 0
+    return out
+
+
+#: Bytes the ``project`` command's traced peak may reach on the default
+#: seed-7 world. Measured (Python 3.11, numpy 2.4): 18.1 MB, set by the
+#: silhouette's one 8 MB distance block (1,000 stable points) above the
+#: ~8.3 MB the dataset holds; the formatting of projections.csv peaks at
+#: 16.8 MB. Scored after the paths, the block sat on them: 20.2 MB.
+PROJECT_PEAK = 19_200_000
+
+
+def test_project_scores_the_silhouette_before_the_paths_exist(seed7_world, tmp_path):
+    argv = ["project", "--inputs-dir", str(seed7_world), "--output-dir", str(tmp_path / "proj"),
+            "--threads", "1"]
+    assert _traced_peak(lambda: cli.main(argv)) < PROJECT_PEAK
 
 
 #: The table of the two load tests: 1.28M cells, so the matrix is an

@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from regrow.core import EmbeddingVector
+from regrow import projection
+from regrow.core import EmbeddingVector, ReferencePoint
 from regrow.errors import DegenerateDataError, SingleClusterError, WrongDimensionError
 from regrow.projection import (
     fit_projection,
@@ -152,6 +153,69 @@ class TestTrajectoryPaths:
 
         assert nearest(path[0]) == 0
         assert nearest(path[-1]) == 2
+
+
+def _paths_in_one_stack(records, model):
+    """The paths as one concatenation of every record's rows, projected at once."""
+    ids, years, blocks = [], [], []
+    for rec in (r for r in records if r.embeddings):
+        rec_id = rec.point_id if isinstance(rec, ReferencePoint) else rec.site_id
+        ids += [rec_id] * len(rec.embeddings)
+        years += rec.embeddings.years
+        blocks.append(rec.embeddings.matrix)
+    if not blocks:
+        return []
+    centered = np.concatenate(blocks)
+    centered -= model.mean.values
+    xs = np.vecdot(centered, model.components[0].values).tolist()
+    ys = np.vecdot(centered, model.components[1].values).tolist()
+    return sorted(zip(ids, years, xs, ys), key=lambda r: (r[0], r[1]))
+
+
+class TestTrajectoryPathChunks:
+    """Rows projected a chunk at a time equal one stacked projection bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        rng = np.random.default_rng(10)
+        dim = 24
+        model = fit_projection(embed(rng.normal(size=(40, dim)) * 3.0 + 1.5))
+        records = []
+        for i in range(60):
+            n_years = int(rng.integers(0, 10))  # 0-9 rows a record
+            first = 2017 + int(rng.integers(0, 10 - n_years)) if n_years < 10 else 2017
+            rows = rng.normal(size=(n_years, dim)) * rng.uniform(0.1, 50.0)
+            embeddings = {first + k: EmbeddingVector(r) for k, r in enumerate(rows)}
+            if i % 3:
+                records.append(make_site(site_id=f"s{i:03d}", embeddings=embeddings))
+            else:
+                records.append(ReferencePoint(point_id=f"p{i:03d}", lon=-47.0, lat=-22.0,
+                                              embeddings=embeddings))
+        order = rng.permutation(len(records))  # neither sorted nor points-first
+        records = [records[k] for k in order]
+        return records, model, sum(len(r.embeddings) for r in records)
+
+    @pytest.mark.parametrize("rows", [1, 7, 31, "all"])
+    def test_rows_equal_one_stack_bit_for_bit(self, case, monkeypatch, rows):
+        records, model, total = case
+        assert 0 < total
+        monkeypatch.setattr(projection, "_PATH_ROWS", total + 1 if rows == "all" else rows)
+        got = trajectory_paths_2d(records, model)
+        want = _paths_in_one_stack(records, model)
+        assert [r[:2] for r in got] == [r[:2] for r in want]
+        assert np.array([r[2:] for r in got]).tobytes() == np.array([r[2:] for r in want]).tobytes()
+
+    def test_records_keep_their_rows(self, case, monkeypatch):
+        # Each chunk is centred in place; the records' own rows stay as they were.
+        records, model, _ = case
+        before = [r.embeddings.matrix.tobytes() for r in records]
+        monkeypatch.setattr(projection, "_PATH_ROWS", 7)
+        trajectory_paths_2d(records, model)
+        assert [r.embeddings.matrix.tobytes() for r in records] == before
+
+    def test_no_rows_give_no_paths(self, case):
+        _, model, _ = case
+        assert trajectory_paths_2d([make_site(site_id="empty")], model) == []
 
 
 class TestSilhouette:
