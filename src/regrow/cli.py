@@ -341,14 +341,16 @@ class RunOutputs:
         for path in self.paths:
             path.unlink(missing_ok=True)
 
-    def write_manifest(self, subcommand: str, settings: dict):
+    # The actions of one command (references build, ...) share its manifest,
+    # and each run replaces it.
+    def write_manifest(self, action: str, settings: dict):
         # The worker cap changes how a run executes, never what it writes.
         settings = {k: v for k, v in settings.items() if k != "threads"}
         config_text = "\n".join(
             f"{k}={settings[k]}" for k in sorted(settings) if settings[k] is not None
         )
         manifest = {
-            "subcommand": subcommand,
+            "subcommand": action,
             "config": {k: str(v) for k, v in sorted(settings.items()) if v is not None},
             "config_hash": hashlib.sha256(config_text.encode()).hexdigest(),
             "seed": settings.get("seed"),
@@ -358,7 +360,7 @@ class RunOutputs:
                 for p in sorted(self.paths)
             },
         }
-        path = self.out_dir / f"manifest_{subcommand}.json"
+        path = self.out_dir / f"manifest_{action.split()[0]}.json"
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -414,7 +416,7 @@ def _references(settings: dict, outputs: RunOutputs):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_synth(args, settings, outputs: RunOutputs) -> None:
+def _cmd_synth(settings, outputs: RunOutputs) -> None:
     """generate a synthetic world with ground truth"""
     knobs = {key: settings[key] for key in (
         "seed", "dim", "n_classes", "points_per_class", "n_sites", "noise_sigma",
@@ -433,7 +435,7 @@ def _cmd_synth(args, settings, outputs: RunOutputs) -> None:
     )
 
 
-def _cmd_validate(args, settings, outputs: RunOutputs) -> None:
+def _cmd_validate(settings, outputs: RunOutputs) -> None:
     """ingest inputs and report the drop funnel"""
     dataset, skipped = _load_dataset(settings, outputs)
     kept, report = ingest.filter_sites(
@@ -452,7 +454,7 @@ def _cmd_validate(args, settings, outputs: RunOutputs) -> None:
     print(f"validate: {report.n_input} sites in, {len(kept)} kept")
 
 
-def _cmd_classify(args, settings, outputs: RunOutputs) -> None:
+def _cmd_classify(settings, outputs: RunOutputs) -> None:
     """classify stability"""
     dataset, _ = _load_dataset(settings, outputs)
     rows = []
@@ -464,7 +466,7 @@ def _cmd_classify(args, settings, outputs: RunOutputs) -> None:
     outputs.write_csv("stability.csv", ["point_id", "stability", "class_from", "class_to"], rows)
 
 
-def _cmd_build(args, settings, outputs: RunOutputs) -> None:
+def _cmd_build(settings, outputs: RunOutputs) -> None:
     """build references"""
     _, _, refset = _references(settings, outputs)
     outputs.write_csv(
@@ -488,7 +490,7 @@ def _cmd_build(args, settings, outputs: RunOutputs) -> None:
     )
 
 
-def _cmd_outliers(args, settings, outputs: RunOutputs) -> None:
+def _cmd_outliers(settings, outputs: RunOutputs) -> None:
     """rank outliers"""
     _, points, refset = _references(settings, outputs)
     rows = []
@@ -505,7 +507,7 @@ def _cmd_outliers(args, settings, outputs: RunOutputs) -> None:
     outputs.write_csv("outliers.csv", ["class", "rank", "point_id", "distance"], rows)
 
 
-def _cmd_trajectories(args, settings, outputs: RunOutputs) -> None:
+def _cmd_trajectories(settings, outputs: RunOutputs) -> None:
     """similarity trajectories, aggregates, baselines"""
     dataset, points, refset = _references(settings, outputs)
 
@@ -567,7 +569,7 @@ def _cmd_trajectories(args, settings, outputs: RunOutputs) -> None:
         )
 
 
-def _cmd_project(args, settings, outputs: RunOutputs) -> None:
+def _cmd_project(settings, outputs: RunOutputs) -> None:
     """2D projection tables and silhouette score"""
     dataset, _ = _load_dataset(settings, outputs)
     points = _classified_references(dataset, settings)
@@ -604,7 +606,7 @@ def _cmd_project(args, settings, outputs: RunOutputs) -> None:
     )
 
 
-def _cmd_predict(args, settings, outputs: RunOutputs) -> None:
+def _cmd_predict(settings, outputs: RunOutputs) -> None:
     """run the prediction tasks under spatial CV"""
     dataset, _, refset = _references(settings, outputs)
     feature_sets = _parse_enum_list(settings["feature_sets"], FeatureSet)
@@ -659,7 +661,7 @@ def _cmd_predict(args, settings, outputs: RunOutputs) -> None:
 _AREA_BIN_EDGES = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, float("inf"))
 
 
-def _cmd_report(args, settings, outputs: RunOutputs) -> None:
+def _cmd_report(settings, outputs: RunOutputs) -> None:
     """metadata distribution tables"""
     dataset, _ = _load_dataset(settings, outputs)
     sites = dataset.sites
@@ -757,8 +759,8 @@ def main(argv=None) -> int:
     previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         settings = _resolve_settings(args)
-        _HANDLERS[args.action](args, settings, outputs)
-        outputs.write_manifest(args.subcommand, settings)
+        _HANDLERS[args.action](settings, outputs)
+        outputs.write_manifest(args.action, settings)
     except (Exception, KeyboardInterrupt) as exc:
         outputs.discard()
         print(json.dumps(_error_record(exc)), file=sys.stderr)

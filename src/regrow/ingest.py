@@ -18,9 +18,9 @@ Parse contract:
 - Quoting and line ends follow the ``csv`` module: a quoted file, CRLF and
   lone-CR line ends read the same as the plain file. Blank lines are skipped
   but counted.
-- Every ingest error names its file and the 1-based line of the row at
-  fault (line 1 is the header). An error about a table as a whole, such as
-  a duplicate class name in lulc_codes.csv, names the file only.
+- Every ingest error names its file and the 1-based first line of the row
+  at fault (line 1 is the header). An error about a table as a whole, such
+  as a duplicate class name in lulc_codes.csv, names the file only.
 
 No file is held whole. ``read_lines`` scans each one ``_SCAN_BYTES`` (1 MB)
 at a time through one buffer: it finds the line ends, notes a ``"``, and
@@ -55,10 +55,11 @@ count, a cell numpy cannot read, blanks in a cell, a non-finite value, a
 broken rule) sends the table cell by cell, in file order, which raises the
 first error at its line or accepts what ``float()`` accepts and numpy does
 not, such as ``1_0``. Files that ``regrow synth`` writes never take that
-path. A quoted file is decoded whole and read by ``csv``. The matrix
-depends neither on the number of workers nor on the row order. Every other table (sites, reference points, LULC codes) is small and
-is always read cell by cell: ``float()`` and ``int()``, in its loader's
-order of checks.
+path. The matrix depends neither on the number of workers nor on the row
+order. Every other table (sites, reference points, LULC codes) is small and
+is always read cell by cell, in its loader's order of checks. Whatever the
+route, the header and the cell-by-cell rows come from one ``csv.reader``
+fed a run of lines at a time, so a quoted file streams as a plain one does.
 
 Loading is order-independent: outputs are keyed or sorted by id, so a
 shuffled input yields an identical Dataset.
@@ -315,29 +316,27 @@ def line_spans(source: _Source, starts: np.ndarray, ends: np.ndarray):
     """Yield (data, a, b) for each line ``starts[i]:ends[i]`` of ``source``:
     the line is ``data[a:b]``. The lines are read in runs of at most
     ``_SCAN_BYTES`` bytes, or one longer line."""
-    starts, ends = starts.tolist(), ends.tolist()
     i = 0
     while i < len(starts):
-        base = starts[i]
-        j = max(i + 1, bisect_right(ends, base + _SCAN_BYTES, i))
-        data = source.pread(base, ends[j - 1])
-        for a, b in zip(starts[i:j], ends[i:j]):
+        base = int(starts[i])
+        j = max(i + 1, int(np.searchsorted(ends, base + _SCAN_BYTES, "right")))
+        data = source.pread(base, int(ends[j - 1]))
+        for a, b in zip(starts[i:j].tolist(), ends[i:j].tolist()):
             yield data, a - base, b - base
         i = j
 
 
 class _Table:
-    """One input CSV, read once: its stripped header and its non-blank data rows.
+    """One input CSV, read once: its stripped header and its non-blank records.
 
-    An unquoted file stays open as a ``_Source`` with the offsets of its
-    rows, and is read only a run of rows, or one row block, at a time: a
-    row is decoded only when ``rows`` yields it. A quoted file is decoded
-    whole and read by ``csv``. Use the table as a context manager: a
-    RegrowError raised inside the ``with`` block is located at this file
-    and, unless it names its own line, at the line being read (1 while the
-    header is checked, then each row's line in turn, none once every row has
-    been read or while the keys and numbers are read in bulk). The file is
-    closed when the block ends, however it ends.
+    The file stays open as a ``_Source`` with the offsets of its lines and
+    is read a run of lines, or one row block, at a time; one ``csv.reader``
+    reads its header and records, quoted or not. As a context manager, the
+    table locates a RegrowError raised inside its ``with`` block at this
+    file and, unless it names its own line, at the line being read (1 while
+    the header is checked, then each record's first line, none once every
+    record has been read or while the keys and numbers are read in bulk),
+    and closes the file when the block ends, however it ends.
     """
 
     def __init__(self, path: str | Path):
@@ -347,22 +346,18 @@ class _Table:
         try:
             if not len(starts):
                 raise CsvParseError("file is empty (no header row)", line=1, file=str(self.path))
-            if self._source.quoted:
-                # Quoted fields may hold commas and line breaks: csv splits them.
-                text = self._source.pread(0, self._source.size).decode()
-                reader = csv.reader(io.StringIO(text, newline=""))
-                try:
-                    header, *records = reader  # a quote makes one row at least
-                except csv.Error as exc:  # e.g. an unclosed quote past the field limit
-                    raise CsvParseError(str(exc), line=reader.line_num,
-                                        file=str(self.path)) from None
-                # Blank records are skipped but keep their line numbers, as csv does.
-                self._records = [(i, rec) for i, rec in enumerate(records, start=2) if rec]
-            else:
-                head = self._source.pread(int(starts[0]), int(ends[0]))
-                header = head.decode().split(",") if head else []
-                rows = np.flatnonzero(ends[1:] > starts[1:]) + 1  # blank rows keep their lines
-                self._lines, self._starts, self._ends = rows + 1, starts[rows], ends[rows]
+            #: The offset of each line, then the file's size: line i + 1 is
+            #: ``_bounds[i]:_bounds[i + 1]`` with its line end.
+            self._bounds = np.append(starts, self._source.size)
+            reader = self._reader(0)
+            try:
+                header = next(reader)  # a file of one line or more holds a record
+            except csv.Error as exc:  # e.g. an unclosed quote past the field limit
+                raise CsvParseError(str(exc), line=1, file=str(self.path)) from None
+            self._first = reader.line_num  # the lines the header spans
+            # The non-blank lines after the header: the rows of a bulk parse.
+            rows = np.flatnonzero(ends[self._first:] > starts[self._first:]) + self._first
+            self._starts, self._ends = starts[rows], ends[rows]
         except BaseException:
             self._source.close()
             raise
@@ -373,29 +368,31 @@ class _Table:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         self._source.close()
-        self._records = None
         if isinstance(exc, RegrowError):
             exc.locate(self.path, self.line)
         return False
 
-    def rows(self, width: int, *, exact: bool = True):
-        """Yield the fields of each data row, in file order: the row's text
-        fields, or a quoted file's fields as ``csv`` reads them.
+    def _reader(self, first: int):
+        """A ``csv.reader`` of the file's lines from line ``first + 1`` on."""
+        spans = line_spans(self._source, self._bounds[first:-1], self._bounds[first + 1:])
+        return csv.reader(data[a:b].decode() for data, a, b in spans)
 
-        A row must have ``width`` fields (at least ``width`` if not
-        ``exact``), else MissingColumnError.
+    def rows(self, width: int, *, exact: bool = True):
+        """Yield the fields of each non-blank record after the header, in
+        file order, as ``csv`` reads them. A record must have ``width``
+        fields (at least ``width`` if not ``exact``), else MissingColumnError.
         """
-        if self._source.quoted:
-            records = self._records
-        else:
-            records = ((line, data[a:b].decode().split(","))
-                       for line, (data, a, b) in zip(self._lines.tolist(), line_spans(
-                           self._source, self._starts, self._ends)))
-        for line, row in records:
-            self.line = line
-            if (len(row) != width) if exact else (len(row) < width):
-                raise MissingColumnError(f"expected {width} fields, got {len(row)}")
-            yield row
+        reader = self._reader(self._first)
+        self.line = self._first + 1
+        try:
+            for row in reader:
+                if row:  # blank records are skipped but keep their lines, as csv does
+                    if (len(row) != width) if exact else (len(row) < width):
+                        raise MissingColumnError(f"expected {width} fields, got {len(row)}")
+                    yield row
+                self.line = self._first + reader.line_num + 1  # the next record's first line
+        except csv.Error as exc:  # e.g. an unclosed quote past the field limit
+            raise CsvParseError(str(exc)) from None
         self.line = None
 
     def sorted_keys(self):
@@ -637,13 +634,20 @@ def load_lulc_codes(path: str | Path) -> LULCCodeMap:
     with _Table(path) as table:
         if table.header[:2] != ["code", "name"]:
             raise _bad_header("code,name", table.header)
-        entries: dict[int, str] = {}
+        entries: dict[int, tuple[str, int]] = {}  # code -> (name, line of its row)
         for code_text, name in table.rows(2):
             code = _parse_int(code_text, "code")
             if code in entries:
                 raise DuplicateKeyError(f"duplicate LULC code {code}")
-            entries[code] = name.strip()
-        return LULCCodeMap(entries)
+            entries[code] = name.strip(), table.line
+        # The names are checked once every row is read, in code order, as
+        # LULCCodeMap checks them: an unknown name is an error at its row, a
+        # repeated one is the table's.
+        for code, (name, line) in sorted(entries.items()):
+            table.line = line
+            LULCClass(name, code)
+        table.line = None
+        return LULCCodeMap({code: name for code, (name, _) in entries.items()})
 
 
 class YearTable(Mapping):

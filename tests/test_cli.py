@@ -195,7 +195,7 @@ class TestErrors:
     def test_unexpected_exception_is_an_internal_error_record(
         self, world_dir, tmp_path, capsys, monkeypatch
     ):
-        def broken_report(args, settings, outputs):
+        def broken_report(settings, outputs):
             outputs.write_csv("partial.csv", ["a"], [(1,)])
             raise RuntimeError("boom")
 
@@ -392,6 +392,15 @@ class TestManifestInputs:
         assert run(["trajectories", *flags, "--output-dir", out]) == 0
         manifest = json.loads((out / "manifest_trajectories.json").read_text())
         assert sorted(manifest["inputs"]) == sorted(str(world_dir / f"{k}.csv") for k in required)
+
+    def test_each_references_action_names_itself_in_the_shared_manifest(self, world_dir,
+                                                                         tmp_path):
+        out = tmp_path / "out"
+        for action in ("classify", "build", "outliers"):
+            assert run(["references", action, "--inputs-dir", world_dir,
+                        "--output-dir", out]) == 0
+            manifest = json.loads((out / "manifest_references.json").read_text())
+            assert manifest["subcommand"] == f"references {action}"
 
 
 class TestReportCommand:

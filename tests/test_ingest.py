@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import random
 import shutil
 
@@ -10,6 +11,7 @@ from regrow import ingest
 from regrow.errors import (
     CsvParseError,
     DuplicateKeyError,
+    InvalidValueError,
     MissingColumnError,
     MissingYearColumnError,
     NonFiniteError,
@@ -25,6 +27,7 @@ from regrow.ingest import (
 from regrow.synthetic import write_world
 
 from conftest import make_site, vec
+from test_ingest_oracle import _fingerprint
 
 
 def write(path, text):
@@ -342,3 +345,55 @@ class TestLocatedErrors:
         load_world(world_dir)
         assert sorted(bulk) == ["covariates.csv", "embeddings.csv", "spectral.csv"]
         assert all(matrix is not None for matrix in bulk.values())
+
+
+def break_cell(path, row, column, end) -> None:
+    """Quote data row ``row``'s cell ``column`` with ``end`` and an ``x``
+    after its text: the row spans two lines."""
+    lines = path.read_bytes().decode().split("\n")
+    fields = lines[row + 1].split(",")
+    index = lines[0].split(",").index(column)
+    fields[index] = f'"{fields[index]}{end}x"'
+    lines[row + 1] = ",".join(fields)
+    path.write_bytes("\n".join(lines).encode())
+
+
+class TestQuotedRecords:
+    """A quoted field may hold a line break; each record keeps its first line."""
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("name, key, column", [("sites.csv", "site_id", "lon"),
+                                                   ("embeddings.csv", "id", "A01"),
+                                                   ("spectral.csv", "id", "ndvi")])
+    def test_a_row_after_a_quoted_line_break_names_its_own_line(self, world_dir, tmp_path,
+                                                                end, name, key, column):
+        world = tmp_path / "world"
+        shutil.copytree(world_dir, world)
+        # Row 2, lines 5-6, holds a bad number (and sends a keyed table cell
+        # by cell); row 1 is line 4, and row 0, lines 2-3, has an id of no site.
+        break_cell(world / name, 2, column, end)
+        break_cell(world / name, 0, key, end)
+        with pytest.raises(CsvParseError) as err:
+            load_world(world)
+        assert (err.value.file, err.value.line) == (str(world / name), 5)
+
+    def test_a_quoted_world_loads_bitwise_as_the_plain_one(self, world_dir, tmp_path):
+        world = tmp_path / "world"
+        world.mkdir()
+        for path in world_dir.glob("*.csv"):
+            with open(path, newline="") as src, open(world / path.name, "w", newline="") as dst:
+                csv.writer(dst, quoting=csv.QUOTE_ALL).writerows(csv.reader(src))
+        assert b'"' in (world / "embeddings.csv").read_bytes()
+        assert _fingerprint(load_world(world)[0]) == _fingerprint(load_world(world_dir)[0])
+
+    def test_an_unknown_class_name_is_an_error_at_its_row(self, world_dir, tmp_path):
+        world = tmp_path / "world"
+        shutil.copytree(world_dir, world)
+        codes = world / "lulc_codes.csv"
+        text = codes.read_text()
+        assert text.splitlines()[3] == "3,ForestFormation"
+        codes.write_text(text.replace("3,ForestFormation", "3,Forest Formation"))
+        with pytest.raises(InvalidValueError) as err:
+            load_world(world)
+        assert (err.value.code, err.value.file, err.value.line) == (
+            "invalid_value", str(codes), 4)

@@ -1,7 +1,7 @@
 """Memory bounds of the largest temporaries: the projection stage (the PCA's
 centring, the paths' rows, the silhouette's distances and the ``project``
 command that runs them), the bulk parse of a table's numeric text, and the
-load of a table's file.
+load of a table's file, plain or quoted.
 
 ``tracemalloc`` sees Python objects and the numpy buffers that numpy
 allocates itself, so each traced peak below counts every array the call
@@ -145,6 +145,24 @@ def test_load_holds_no_copy_of_the_file(embeddings_file):
     assert ROWS * DIM > ingest._POOL_CELLS  # the matrix is not traced
     peak = _traced_peak(lambda: ingest.load_embeddings(embeddings_file, threads=1))
     assert peak < LOAD_MARGIN
+
+
+#: Bytes a load of the seed-7 embeddings.csv (14.2 MB, a 5.4 MB matrix)
+#: with every id quoted may reach. Measured (Python 3.11, numpy 2.4):
+#: 15.7 MB, the cell-by-cell path's row vectors and their stacked matrix
+#: next to one run of lines; decoding the quoted file whole and keeping a
+#: list of every record reached 127 MB.
+QUOTED_LOAD_PEAK = 20_000_000
+
+
+def test_a_quoted_table_streams_like_a_plain_one(seed7_world, tmp_path):
+    path = tmp_path / "embeddings.csv"
+    with open(seed7_world / "embeddings.csv", encoding="utf-8") as src, \
+            open(path, "w", encoding="utf-8") as dst:
+        dst.write(next(src))
+        dst.writelines('"{}",{}'.format(*line.split(",", 1)) for line in src)
+    peak = _traced_peak(lambda: ingest.load_embeddings(path, threads=1))
+    assert peak < QUOTED_LOAD_PEAK
 
 
 #: Bytes of RSS a load on two workers may add to the parent's pre-load

@@ -128,7 +128,7 @@ def test_a_signal_ends_the_command_with_an_interrupted_record(tmp_path, signum):
             os.write(1, b"ready\\n")  # one write: the two workers share the pipe
             time.sleep(60)
 
-        def waiting_report(args, settings, outputs):
+        def waiting_report(settings, outputs):
             outputs.write_csv("partial.csv", ["a"], [(1,)])
             list(pool.iter_jobs(wait, [(0,), (1,)], 2))
 
