@@ -35,9 +35,9 @@ digits after its dot, and its value is M / 10**k, divided as x87 long
 doubles. Both operands are exact in their 64-bit significand, so the
 quotient is rounded once, and rounding it on to a double gives the double
 nearest the decimal, as ``float()`` does, unless it lies on the midpoint of
-two doubles. Such a cell, every other cell, and every cell where
-``np.longdouble`` is not the x87 type are parsed by ``np.fromstring``, which
-also rounds as ``float()`` does. Each row block is one job of
+two doubles. Every cell it leaves (a midpoint, ``1e-05``, ``1_0``), and
+every cell where ``np.longdouble`` is not the x87 type, is read by
+``float()`` itself. Each row block is one job of
 ``pool.iter_jobs``, on the worker pool for a table of more than
 ``_POOL_CELLS`` cells (``threads`` caps it, as everywhere), each worker
 reading its rows from the file descriptor it inherits and writing them to
@@ -50,16 +50,15 @@ matrix, so the rows come out in (id, year) order and each id's years are one
 and ``SpectralIndices`` rules as they are parsed. No row is wrapped in an
 object. A file whose size or modification time changes during its load is a
 ``parse_error``: no load mixes the bytes of two versions of a file.
-Anything unusual (a quoted file, a bad year, a repeated key, a wrong field
-count, a cell numpy cannot read, blanks in a cell, a non-finite value, a
-broken rule) sends the table cell by cell, in file order, which raises the
-first error at its line or accepts what ``float()`` accepts and numpy does
-not, such as ``1_0``. Files that ``regrow synth`` writes never take that
-path. The matrix depends neither on the number of workers nor on the row
-order. Every other table (sites, reference points, LULC codes) is small and
-is always read cell by cell, in its loader's order of checks. Whatever the
-route, the header and the cell-by-cell rows come from one ``csv.reader``
-fed a run of lines at a time, so a quoted file streams as a plain one does.
+A quoted file, a spectral.csv with columns past ``evi``, or a table with an
+error (a bad year, a repeated key, a wrong field count, a cell ``float()``
+refuses, a non-finite value, a broken rule) is read cell by cell, in file
+order, which raises the first error at its line. Files that ``regrow synth``
+writes never take that path. No worker count or row order changes the
+matrix. The small tables (sites, reference points, LULC codes) are always
+read cell by cell, in their loader's order of checks. On every route the
+header and the cell-by-cell rows come from one ``csv.reader`` fed a run of
+lines at a time, so a quoted file streams as a plain one does.
 
 Loading is order-independent: outputs are keyed or sorted by id, so a
 shuffled input yields an identical Dataset.
@@ -130,9 +129,9 @@ _POOL_CELLS = 1_000_000
 #: passes, ns a cell at 4k/8k/16k/32k/64k cells): embeddings.csv
 #: 195/167/179/210/250, covariates.csv 157/140/138/143/205, spectral.csv
 #: 368/313/334/398/478. A block's temporaries are ~113 bytes a cell (1.9 MB
-#: at 16k cells; the ``np.fromstring`` parse held 2.95 MB at 64k); a
-#: ``threads=1`` load of the 5x embeddings.csv peaked at 149 MB RSS with
-#: 8k-16k cells, 155 MB with 64k and 180 MB with 256k.
+#: at 16k cells, 2.95 MB at 64k); a ``threads=1`` load of the 5x
+#: embeddings.csv peaked at 149 MB RSS with 8k-16k cells, 155 MB with 64k
+#: and 180 MB with 256k.
 _PARSE_CELLS = 16_384
 
 #: Bytes of a file that one read holds, one row block aside: a chunk of the
@@ -464,8 +463,8 @@ def _parse_block(table: _Table, a: int, b: int, count: int, kind: type, out, slo
     ``a:b`` of an unquoted ``table`` into their rows ``slots[a:b]`` of ``out``.
 
     Returns whether the block was clean: False on a row without exactly
-    ``count + 2`` fields, an empty cell, a cell numpy cannot parse or that
-    holds blanks, a non-finite value, or a row that breaks a rule of ``kind``.
+    ``count + 2`` fields, a cell ``float()`` refuses, a non-finite value, or
+    a row that breaks a rule of ``kind``.
     """
     starts, ends = table._starts[a:b], table._ends[a:b]
     base = int(starts[0])
@@ -489,11 +488,11 @@ def _parse_rows(data: bytes, starts: np.ndarray, ends: np.ndarray,
     """The ``count`` numbers after the id and year of each row
     ``data[starts[i]:ends[i]]``, with only line-end bytes (``\\r``, ``\\n``)
     between the rows, as a (rows, count) matrix; None on a row without
-    ``count + 2`` fields, an empty cell, or a cell that ``np.fromstring``
-    cannot read, that holds blanks or that is not finite.
+    ``count + 2`` fields or a cell ``float()`` refuses or reads as non-finite.
 
-    ``_exact_cells`` parses the cells it can; the rest, or every cell where
-    ``np.longdouble`` is not the x87 type, go through one ``np.fromstring``.
+    ``_exact_cells`` parses the cells it can. ``float()`` reads the rest, or,
+    where ``np.longdouble`` is not the x87 type, each row's cells after its
+    year, from one comma join of them.
     """
     rows, size = len(starts), int(ends[-1])
     # A NUL after the cells ends the last one: numpy reads an integer on past
@@ -525,17 +524,12 @@ def _parse_rows(data: bytes, starts: np.ndarray, ends: np.ndarray,
         values, left, spans = np.empty(len(cell_starts)), slice(None), (cell_starts[::count], ends)
     if len(spans[0]):
         text = b",".join(map(data.__getitem__, map(slice, spans[0].tolist(), spans[1].tolist())))
-        # numpy, like float(), skips blanks around a number, but it reads a
-        # blank cell as -1; cells with blanks are left to the cell-by-cell path.
-        if any(blank in text for blank in b" \t\v\f"):
-            return None
         try:
-            parsed = np.fromstring(text, sep=",")
+            values[left] = parsed = np.fromiter(map(float, text.decode().split(",")), float)
         except ValueError:
             return None
-        if parsed.size != values[left].size or not np.isfinite(parsed).all():
+        if not np.isfinite(parsed).all():
             return None
-        values[left] = parsed
     return values.reshape(rows, count)
 
 
@@ -641,9 +635,12 @@ def load_lulc_codes(path: str | Path) -> LULCCodeMap:
                 raise DuplicateKeyError(f"duplicate LULC code {code}")
             entries[code] = name.strip(), table.line
         # The names are checked once every row is read, in code order, as
-        # LULCCodeMap checks them: an unknown name is an error at its row, a
-        # repeated one is the table's.
+        # LULCCodeMap checks them: an unknown name is an error at its row, and
+        # at the first repeated one LULCCodeMap raises the table's error.
+        first: dict[str, int] = {}  # each name's first code
         for code, (name, line) in sorted(entries.items()):
+            if first.setdefault(name, code) != code:
+                break
             table.line = line
             LULCClass(name, code)
         table.line = None

@@ -2,9 +2,9 @@
 
 ``ingest`` parses the numbers of a table, and ``csvio`` formats them, with
 integer and ``np.longdouble`` arithmetic that is exact, or rounded once, in
-the 64-bit significand of the x87 80-bit type. Where ``np.longdouble`` is
-some other type, both leave every cell to Python's own ``float()`` and
-``repr()``.
+the 64-bit significand of the x87 80-bit type. Both leave every cell their
+kernel cannot claim, and every cell where ``np.longdouble`` is some other
+type, to Python's own ``float()`` and ``repr()``.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 ``ingest._exact_cells`` reads a cell ``-?digits[.digits]`` as an integer
 significand M and a power 10**k and divides them as x87 long doubles. Where
 it claims a cell, the value must be ``float()``'s bit for bit; every cell
-it leaves goes through ``np.fromstring``, so a whole row block must read as
+it leaves is read by ``float()`` itself, so a whole row block must read as
 ``float()`` reads it either way.
 """
 
@@ -90,7 +90,7 @@ MIDPOINTS = [str((2 * j + 1) << (e - 53)) for e in range(53, 60) for j in (2**52
 
 
 @x87
-def test_midpoints_are_left_to_numpy():
+def test_midpoints_are_left_to_float():
     assert MIDPOINTS[0] == "9007199254740993"
     left = _assert_kernel_matches_float(MIDPOINTS)
     assert left.all()
@@ -127,16 +127,17 @@ def test_the_kernel_claims_exactly_the_cells_it_can(cell, claimed):
 
 
 @x87
-def test_few_cells_of_a_random_table_are_left_to_numpy():
+def test_few_cells_of_a_random_table_are_left_to_float():
     values = np.random.default_rng(0).normal(scale=0.05, size=20_000)
     cells = [repr(v) for v in values.tolist() if abs(v) >= 1e-4]
     left = _assert_kernel_matches_float(cells)
     assert left.mean() < 0.002  # about one cell in 2048 lies on a midpoint
 
 
-@pytest.mark.parametrize("cells", [["1", "", "2"], ["0.5", "0.5 "], ["1e400"], ["nan"], ["1,5"]])
-def test_a_block_numpy_cannot_read_is_refused(cells):
-    # An empty cell, a blank, a non-finite value or a wrong field count.
+@pytest.mark.parametrize("cells", [["1", "", "2"], ["0.5", "0 .5"], ["1e400"], ["nan"], ["1,5"]])
+def test_a_block_float_cannot_read_is_refused(cells):
+    # An empty cell, a blank inside a number, a non-finite value or a wrong
+    # field count.
     assert _parse_rows(cells) is None
 
 
@@ -191,8 +192,37 @@ def test_rows_apart_by_any_line_end_bytes_parse_in_place(gaps, use_x87, monkeypa
     want = [[float(cell) for cell in row.split(b",")[2:]] for row in rows]
     assert [[_bits(v) for v in row] for row in values.tolist()] == \
         [[_bits(v) for v in row] for row in want]
-    # The line-end bytes between rows leave no cell to numpy.
+    # The line-end bytes between rows leave no cell to float().
     assert unparsed == ([0] if ingest.x87.X87 else [])
+
+
+#: Spellings that ``float()`` reads and the kernel leaves: underscores,
+#: blanks around a number, and digits of other scripts.
+FLOAT_ONLY = ["1_0", "-0.12_714188810236163", " 0.5", "0.5 ", "\t-2.25", "\u00a00.5",
+              "0.5\u3000", "\u0661", "-\u0661\u0662.\u0665"]
+
+
+@pytest.mark.parametrize("use_x87", [True, False])
+@pytest.mark.parametrize("spelling", FLOAT_ONLY)
+def test_a_float_only_spelling_parses_in_bulk(world, tmp_path, monkeypatch, spelling, use_x87):
+    monkeypatch.setattr(ingest.x87, "X87", ingest.x87.X87 and use_x87)
+    read, rows = [], ingest._Table.rows
+
+    def recording(table, *args, **kwargs):
+        read.append(table.path.name)
+        return rows(table, *args, **kwargs)
+
+    monkeypatch.setattr(ingest._Table, "rows", recording)
+    base = {"embeddings.csv": (world / "embeddings.csv").read_text(encoding="utf-8")}
+    text = apply_mutations(base, [("cell", "embeddings.csv", 3, 4, spelling)])["embeddings.csv"]
+    path = tmp_path / "embeddings.csv"
+    path.write_text(text, encoding="utf-8")
+    embeddings = ingest.load_embeddings(path, threads=1)
+    assert read == []  # no row of the table was read cell by cell
+    rid, year, *cells = text.splitlines()[4].split(",")
+    assert cells[2] == spelling
+    assert [_bits(v) for v in embeddings[rid, int(year)].values.tolist()] == \
+        [_bits(float(cell)) for cell in cells]
 
 
 def test_a_quoted_blank_row_is_one_empty_quoted_field():

@@ -397,3 +397,15 @@ class TestQuotedRecords:
             load_world(world)
         assert (err.value.code, err.value.file, err.value.line) == (
             "invalid_value", str(codes), 4)
+
+    @pytest.mark.parametrize("rows, message, line", [
+        (["1,Pasture", "2,Pasture", "5,Bogus"], "duplicate LULC name", None),
+        (["5,Pasture", "2,Bogus", "1,Pasture"], "unknown LULC class name", 3),
+    ])
+    def test_the_first_bad_name_in_code_order_is_the_error(self, tmp_path, rows, message,
+                                                            line):
+        # A repeated name is the table's error, an unknown one its row's.
+        codes = write(tmp_path / "lulc_codes.csv", "code,name\n" + "\n".join(rows) + "\n")
+        with pytest.raises(InvalidValueError, match=message) as err:
+            ingest.load_lulc_codes(codes)
+        assert (err.value.file, err.value.line) == (str(codes), line)

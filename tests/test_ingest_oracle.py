@@ -6,12 +6,12 @@ columns were parsed in one bulk pass: ``csv.reader`` splits every row and
 that parses to NaN or Inf raises NonFiniteError at its line, where the old
 loaders accepted it silently or failed later with another error.
 
-Cells of a small synthetic world are mutated into spellings on which
-``np.fromstring`` and ``float()`` disagree, and rows and files are reshaped
-(quoting, CRLF and lone-CR line ends, blank lines, duplicated and shuffled
-rows, missing and extra fields). The new loaders must return a bitwise-equal
-Dataset, or raise the same error class at the same line and name the file
-the oracle failed in.
+Cells of a small synthetic world are mutated into spellings that only
+``float()`` reads, or that it refuses, and rows and files are reshaped
+(quoting, a quoted line break, CRLF and lone-CR line ends, blank lines,
+duplicated and shuffled rows, missing and extra fields). The new loaders
+must return a bitwise-equal Dataset, or raise the same error class at the
+same line and name the file the oracle failed in.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def _blame(loader):
 # ---- oracle: the cell-by-cell loaders --------------------------------------
 
 def _oracle_read_rows(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """Read a CSV into (header, [(line_number, fields), ...])."""
+    """Read a CSV into (header, [(first line of the record, fields), ...])."""
     path = Path(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -86,7 +86,11 @@ def _oracle_read_rows(path: str | Path) -> tuple[list[str], list[tuple[int, list
             header = next(reader)
         except StopIteration:
             raise CsvParseError(f"{path}: file is empty (no header row)") from None
-        rows = [(i, row) for i, row in enumerate(reader, start=2) if row]
+        rows, line = [], reader.line_num + 1
+        for row in reader:
+            if row:
+                rows.append((line, row))
+            line = reader.line_num + 1
     return [h.strip() for h in header], rows
 
 
@@ -454,8 +458,8 @@ def assert_same_outcome(texts: Mapping[str, str]):
 
 # ---- mutations --------------------------------------------------------------
 
-#: Cell spellings on which np.fromstring and float() disagree, or which are
-#: bad for both, plus a few values that break a domain check.
+#: Cell spellings that float() reads and the exact kernel leaves, or that
+#: float() refuses, plus a few values that break a domain check.
 SPELLINGS = (
     "1_0", "nan(1)", "١", "", "0x10", " 1.5", "+1", "infinity", "1.5e",
     "nan", "-inf", "1e400", "1e-400", " ", "  ", "\t0.5", "0.5 ", "\u00a00.5", "\u2003",
@@ -473,6 +477,8 @@ def apply_mutations(base: Mapping[str, str], mutations) -> dict[str, str]:
     ending = {name: "\n" for name in base}
     final = {name: True for name in base}
     for kind, name, a, b, spelling in mutations:
+        if kind == "line_break":  # a site's quoted strategy, across two lines
+            kind, name, b, spelling = "cell", "sites.csv", 5, '"Full-Area\nPlanting"'
         table = lines[name]
         data = len(table) - 1
         r = 1 + a % data
@@ -568,10 +574,29 @@ def test_rows_short_and_long_by_one_field(base_world, name):
     assert_same_outcome(apply_mutations(base_world, mutations))
 
 
+@pytest.mark.parametrize("bad_cell", [False, True], ids=["clean", "bad_cell"])
+def test_records_past_a_quoted_line_break_keep_their_lines(base_world, bad_cell):
+    mutations = [("line_break", "sites.csv", 0, 0, "")]
+    if bad_cell:
+        mutations.append(("cell", "sites.csv", 3, 1, "abc"))  # data row 4, now on line 6
+    texts = apply_mutations(base_world, mutations)
+    assert texts["sites.csv"].split("\n")[1].endswith('"Full-Area')
+    with tempfile.TemporaryDirectory() as tmp:
+        for file, text in texts.items():
+            (Path(tmp) / file).write_text(text, encoding="utf-8", newline="")
+        expected = _outcome(_oracle_load_dataset, Path(tmp))
+    if bad_cell:
+        assert (type(expected), expected.line, expected.oracle_file) == (
+            CsvParseError, 6, "sites.csv")
+    else:
+        assert not isinstance(expected, Exception)
+    assert_same_outcome(texts)
+
+
 mutation = st.tuples(
     st.sampled_from(
         ["cell"] * 6 + ["quote", "drop", "extra", "duplicate", "blank", "shuffle", "crlf", "cr",
-                        "no_final_newline"]
+                        "no_final_newline", "line_break"]
     ),
     st.sampled_from(FILES),
     st.integers(0, 10_000),

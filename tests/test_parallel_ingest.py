@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from conftest import count_pools, refuse_pools
 from regrow import ingest
 from regrow.cli import main
-from regrow.errors import InvalidValueError
+from regrow.errors import InvalidValueError, NonFiniteError
 from regrow.synthetic import SynthConfig, generate_world, write_world
 from test_ingest_oracle import (
     FILES,
@@ -128,7 +128,7 @@ LAST_ROW_ANOMALIES = {
     "nan": ("cell", "nan"),
     "blank": ("cell", " "),
     "empty": ("cell", ""),
-    "underscore": ("cell", "1_0"),
+    "underscore": ("cell", "1__0"),  # float() reads 1_0, not 1__0
     "short_row": ("drop", ""),
 }
 
@@ -154,14 +154,14 @@ def test_one_thread_stops_at_the_first_block_with_an_anomaly(base_world, tmp_pat
         return parse_block(records, a, *args)
 
     monkeypatch.setattr(ingest, "_parse_block", recording_parse_block)
-    mutated = apply_mutations(base_world, [("cell", "embeddings.csv", 0, 2, "1_0")])
+    mutated = apply_mutations(base_world, [("cell", "embeddings.csv", 0, 2, "nan")])
     path = tmp_path / "embeddings.csv"
     path.write_text(mutated["embeddings.csv"], encoding="utf-8")
-    embeddings = ingest.load_embeddings(path, threads=1)
+    with pytest.raises(NonFiniteError) as err:
+        ingest.load_embeddings(path, threads=1)
     assert parsed == [0]
-    # The cell-by-cell path reads the cell as float() does.
-    rid, year = mutated["embeddings.csv"].splitlines()[1].split(",")[:2]
-    assert embeddings[rid, int(year)].values[0] == 10.0
+    # The cell-by-cell path raises the error at the line of the cell.
+    assert (err.value.file, err.value.line) == (str(path), 2)
 
 
 def test_one_thread_never_asks_for_the_pool(base_world, tmp_path, no_pool, monkeypatch):
