@@ -7,9 +7,11 @@ table, ``_SETTINGS``, parses and checks both, and makes the flags: each
 action offers the flags of the settings that change its outputs, and
 accepts every key in a config file, so one file serves every step. Every
 run writes a manifest (config hash, seed, input checksums, artifact
-hashes) so outputs are reproducible from the manifest alone. On any
-module error, and on SIGINT or SIGTERM, the command removes its partial
-outputs, prints a JSON error record to stderr, and exits nonzero.
+hashes) so outputs are reproducible from the manifest alone. A run's
+files appear under their final names only once it has succeeded. On any
+module error, and on SIGINT or SIGTERM, the command leaves the output
+directory's files as it found them, prints a JSON error record to stderr,
+and exits nonzero.
 """
 
 from __future__ import annotations
@@ -18,8 +20,11 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import shutil
 import signal
 import sys
+import tempfile
 import traceback
 from bisect import bisect_right
 from collections import Counter
@@ -32,7 +37,7 @@ from . import ingest
 from .cluster import spatial_kfold
 from .core import Strategy
 from .csvio import write_csv
-from .errors import DegenerateDataError, InvalidValueError, RegrowError
+from .errors import DegenerateDataError, InsufficientSeriesError, InvalidValueError, RegrowError
 from .prediction import (
     FeatureSet,
     ModelKind,
@@ -302,6 +307,14 @@ def _resolve_settings(args: argparse.Namespace) -> dict[str, object]:
                 last_set((last, first)),
                 f"{first} ({settings[first]}) is after {last} ({settings[last]})",
             )
+    # The loaders keep each point's embeddings of first_year..last_year only.
+    if (args.action in _SETTINGS["reference_year"].commands
+            and not settings["first_year"] <= settings["reference_year"] <= settings["last_year"]):
+        raise invalid(
+            last_set(("reference_year", "first_year", "last_year")),
+            "reference_year ({reference_year}) is outside the embedding years "
+            "{first_year}-{last_year}".format(**settings),
+        )
     if args.subcommand == "synth":
         for keys, holds, message in _SYNTH_RULES:
             if not holds(settings):
@@ -322,60 +335,67 @@ def _sha256_file(path: Path) -> str:
 
 
 class RunOutputs:
-    """Tracks files written by one run so failures can clean them up."""
+    """The files of one run, and their one owner.
+
+    Handlers write into a hidden staging directory that ``RunOutputs`` makes
+    inside the output directory. ``publish`` moves the staged files to
+    their final names and writes the manifest last, so a manifest always
+    describes the files beside it. Leaving the ``with`` block removes what
+    is still staged: a failed or interrupted run leaves the output
+    directory's files as it found them.
+    """
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
-        self.paths: list[Path] = []
-        #: The input files the run read, hashed into its manifest.
-        self.inputs: list[str] = []
+        out_dir.mkdir(parents=True, exist_ok=True)
+        self.staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
 
-    def add(self, path: Path) -> Path:
-        self.paths.append(path)
-        return path
+    def __enter__(self) -> "RunOutputs":
+        return self
+
+    def __exit__(self, *exc_info):
+        shutil.rmtree(self.staging, ignore_errors=True)
 
     def write_csv(self, name: str, header, rows) -> Path:
-        return self.add(write_csv(self.out_dir / name, header, rows))
-
-    def discard(self):
-        for path in self.paths:
-            path.unlink(missing_ok=True)
+        return write_csv(self.staging / name, header, rows)
 
     # The actions of one command (references build, ...) share its manifest,
     # and each run replaces it.
-    def write_manifest(self, action: str, settings: dict):
+    def publish(self, action: str, settings: dict):
         # The worker cap changes how a run executes, never what it writes.
         settings = {k: v for k, v in settings.items() if k != "threads"}
         config_text = "\n".join(
             f"{k}={settings[k]}" for k in sorted(settings) if settings[k] is not None
         )
+        # A reading action reads every input path that is set.
+        inputs = [settings[k] for k in _INPUT_KEYS if settings[k]] if action in _READERS else []
+        names = sorted(p.name for p in self.staging.iterdir())
         manifest = {
             "subcommand": action,
             "config": {k: str(v) for k, v in sorted(settings.items()) if v is not None},
             "config_hash": hashlib.sha256(config_text.encode()).hexdigest(),
             "seed": settings.get("seed"),
-            "inputs": {p: _sha256_file(Path(p)) for p in sorted(self.inputs)},
-            "artifacts": {
-                str(p.relative_to(self.out_dir)): _sha256_file(p)
-                for p in sorted(self.paths)
-            },
+            "inputs": {p: _sha256_file(Path(p)) for p in sorted(inputs)},
+            "artifacts": {name: _sha256_file(self.staging / name) for name in names},
         }
-        path = self.out_dir / f"manifest_{action.split()[0]}.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        manifest_name = f"manifest_{action.split()[0]}.json"
+        with open(self.staging / manifest_name, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        # Until the last replace, the directory holds no manifest rather than a stale one.
+        (self.out_dir / manifest_name).unlink(missing_ok=True)
+        for name in [*names, manifest_name]:
+            os.replace(self.staging / name, self.out_dir / name)
 
 
-def _load_dataset(settings: dict, outputs: RunOutputs):
-    """The dataset and the sites it skipped; ``outputs`` records each input file read."""
+def _load_dataset(settings: dict):
+    """The dataset and the sites it skipped."""
     missing = [k for k in ("embeddings", "sites", "reference_points") if not settings[k]]
     if missing:
         raise InvalidValueError(
             f"missing required input path(s): {', '.join(missing)} "
             "(set via config file, flags, or --inputs-dir)"
         )
-    outputs.inputs = [settings[k] for k in _INPUT_KEYS if settings[k]]
     dataset, skipped = ingest.load_dataset(
         embeddings_path=settings["embeddings"],
         sites_path=settings["sites"],
@@ -400,12 +420,17 @@ def _classify_kwargs(settings: dict) -> dict:
 
 
 def _classified_references(dataset, settings):
-    return classify_points(list(dataset.references), **_classify_kwargs(settings))
+    try:
+        points = classify_points(list(dataset.references), **_classify_kwargs(settings))
+    except InsufficientSeriesError as exc:
+        # Every point has the header's lulc_<Y> columns, so the header lacks the years.
+        raise exc.locate(settings["reference_points"], 1) from None
+    return points
 
 
-def _references(settings: dict, outputs: RunOutputs):
+def _references(settings: dict):
     """The dataset, its classified reference points and their reference set."""
-    dataset, _ = _load_dataset(settings, outputs)
+    dataset, _ = _load_dataset(settings)
     points = _classified_references(dataset, settings)
     policy = ReferenceYearPolicy(settings["reference_policy"], settings["reference_year"])
     return dataset, points, build_reference_set(points, policy)
@@ -430,14 +455,12 @@ def _cmd_synth(settings, outputs: RunOutputs) -> None:
         **knobs,
     )
     dataset, truth = generate_world(config)
-    write_world(
-        dataset, truth, outputs.out_dir, on_write=outputs.add, threads=settings["threads"]
-    )
+    write_world(dataset, truth, outputs.staging, threads=settings["threads"])
 
 
 def _cmd_validate(settings, outputs: RunOutputs) -> None:
     """ingest inputs and report the drop funnel"""
-    dataset, skipped = _load_dataset(settings, outputs)
+    dataset, skipped = _load_dataset(settings)
     kept, report = ingest.filter_sites(
         list(dataset.sites),
         min_area_ha=settings["min_area_ha"],
@@ -456,7 +479,7 @@ def _cmd_validate(settings, outputs: RunOutputs) -> None:
 
 def _cmd_classify(settings, outputs: RunOutputs) -> None:
     """classify stability"""
-    dataset, _ = _load_dataset(settings, outputs)
+    dataset, _ = _load_dataset(settings)
     rows = []
     for p in _classified_references(dataset, settings):
         st = p.stability
@@ -468,7 +491,7 @@ def _cmd_classify(settings, outputs: RunOutputs) -> None:
 
 def _cmd_build(settings, outputs: RunOutputs) -> None:
     """build references"""
-    _, _, refset = _references(settings, outputs)
+    _, _, refset = _references(settings)
     outputs.write_csv(
         "global_reference.csv",
         ["index", "value"],
@@ -492,7 +515,7 @@ def _cmd_build(settings, outputs: RunOutputs) -> None:
 
 def _cmd_outliers(settings, outputs: RunOutputs) -> None:
     """rank outliers"""
-    _, points, refset = _references(settings, outputs)
+    _, points, refset = _references(settings)
     rows = []
     for cls in sorted(refset.centroids, key=lambda c: c.label):
         report = detect_outliers(
@@ -509,7 +532,7 @@ def _cmd_outliers(settings, outputs: RunOutputs) -> None:
 
 def _cmd_trajectories(settings, outputs: RunOutputs) -> None:
     """similarity trajectories, aggregates, baselines"""
-    dataset, points, refset = _references(settings, outputs)
+    dataset, points, refset = _references(settings)
 
     kinds = {
         "global": [ReferenceKind.GLOBAL],
@@ -571,7 +594,7 @@ def _cmd_trajectories(settings, outputs: RunOutputs) -> None:
 
 def _cmd_project(settings, outputs: RunOutputs) -> None:
     """2D projection tables and silhouette score"""
-    dataset, _ = _load_dataset(settings, outputs)
+    dataset, _ = _load_dataset(settings)
     points = _classified_references(dataset, settings)
     year = settings["reference_year"]
 
@@ -608,7 +631,7 @@ def _cmd_project(settings, outputs: RunOutputs) -> None:
 
 def _cmd_predict(settings, outputs: RunOutputs) -> None:
     """run the prediction tasks under spatial CV"""
-    dataset, _, refset = _references(settings, outputs)
+    dataset, _, refset = _references(settings)
     feature_sets = _parse_enum_list(settings["feature_sets"], FeatureSet)
     requested_models = _parse_enum_list(settings["models"], ModelKind)
 
@@ -663,7 +686,7 @@ _AREA_BIN_EDGES = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 10
 
 def _cmd_report(settings, outputs: RunOutputs) -> None:
     """metadata distribution tables"""
-    dataset, _ = _load_dataset(settings, outputs)
+    dataset, _ = _load_dataset(settings)
     sites = dataset.sites
 
     strategies = Counter(site.strategy.value for site in sites)
@@ -755,14 +778,13 @@ def _error_record(exc: BaseException) -> dict:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    outputs = RunOutputs(Path(args.output_dir))
     previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         settings = _resolve_settings(args)
-        _HANDLERS[args.action](settings, outputs)
-        outputs.write_manifest(args.action, settings)
+        with RunOutputs(Path(args.output_dir)) as outputs:
+            _HANDLERS[args.action](settings, outputs)
+            outputs.publish(args.action, settings)
     except (Exception, KeyboardInterrupt) as exc:
-        outputs.discard()
         print(json.dumps(_error_record(exc)), file=sys.stderr)
         return 1
     finally:

@@ -402,25 +402,15 @@ def write_world(
     dataset: Dataset,
     truth: GroundTruth,
     out_dir: str | Path,
-    on_write=None,
     threads: int | None = None,
 ) -> list[Path]:
     """Write the world in the exact ingest CSV formats plus ground_truth.csv.
 
-    ``on_write`` is called with each path as soon as the file lands, so a
-    caller can track partial output even if a later write fails.
-    ``threads`` caps the worker processes that format the large tables
-    (None: every available core); the files do not depend on it.
+    Returns the paths written, in writing order. ``threads`` caps the worker
+    processes that format the large tables (None: every available core);
+    the files do not depend on it.
     """
     out = Path(out_dir)
-    paths: list[Path] = []
-
-    def write(name: str, header, rows) -> None:
-        path = write_csv(out / name, header, rows, threads)
-        paths.append(path)
-        if on_write is not None:
-            on_write(path)
-
     emb_rows = [
         (record_id, year, row)
         for records in (
@@ -432,69 +422,67 @@ def write_world(
     ]
     emb_rows.sort(key=itemgetter(0, 1))
     dim = emb_rows[-1][2].size if emb_rows else 0
-    write(
-        "embeddings.csv",
-        ["id", "year"] + [f"A{i:02d}" for i in range(dim)],
-        emb_rows,
-    )
-    write(
-        "sites.csv",
-        ["site_id", "lon", "lat", "area_ha", "start_year", "strategy", "start_lulc"],
-        (
-            (
-                s.site_id, s.centroid_lon, s.centroid_lat, s.area_ha,
-                s.start_year, s.strategy.value,
-                s.start_lulc.label if s.start_lulc else "",
-            )
-            for s in dataset.sites
-        ),
-    )
-    write(
-        "spectral.csv",
-        ["id", "year", "ndvi", "evi"],
-        (
-            (s.site_id, year, row)
-            for s in dataset.sites
-            for year, row in zip(s.spectral.years, s.spectral.matrix)
-        ),
-    )
-    write(
-        "covariates.csv",
-        ["id", "year", *CovariateSet.FIELD_NAMES],
-        (
-            (s.site_id, year, row)
-            for s in dataset.sites
-            for year, row in zip(s.covariates.years, s.covariates.matrix)
-        ),
-    )
-
     lulc_years = sorted({y for p in dataset.references for y in p.lulc_series})
     name_to_code = {cls.name: code for code, cls in DEFAULT_LULC_CODES.entries()}
-    write(
-        "reference_points.csv",
-        ["point_id", "lon", "lat"] + [f"lulc_{y}" for y in lulc_years],
+    # (name, header, rows) of each table; its rows are built when it is written.
+    tables = [
+        ("embeddings.csv", ["id", "year"] + [f"A{i:02d}" for i in range(dim)], emb_rows),
         (
+            "sites.csv",
+            ["site_id", "lon", "lat", "area_ha", "start_year", "strategy", "start_lulc"],
             (
-                p.point_id, p.lon, p.lat,
-                *(name_to_code[p.lulc_series[y].name] for y in lulc_years),
-            )
-            for p in dataset.references
+                (
+                    s.site_id, s.centroid_lon, s.centroid_lat, s.area_ha,
+                    s.start_year, s.strategy.value,
+                    s.start_lulc.label if s.start_lulc else "",
+                )
+                for s in dataset.sites
+            ),
         ),
-    )
-    write(
-        "lulc_codes.csv",
-        ["code", "name"],
-        ((code, cls.name) for code, cls in DEFAULT_LULC_CODES.entries()),
-    )
-    write(
-        "ground_truth.csv",
-        ["id", "kind", "true_class", "from", "to", "transition_year", "rate"],
         (
+            "spectral.csv",
+            ["id", "year", "ndvi", "evi"],
             (
-                r.record_id, r.kind, r.true_class, r.from_class, r.to_class,
-                r.transition_year, r.rate,
-            )
-            for r in sorted(truth.records.values(), key=lambda r: r.record_id)
+                (s.site_id, year, row)
+                for s in dataset.sites
+                for year, row in zip(s.spectral.years, s.spectral.matrix)
+            ),
         ),
-    )
-    return paths
+        (
+            "covariates.csv",
+            ["id", "year", *CovariateSet.FIELD_NAMES],
+            (
+                (s.site_id, year, row)
+                for s in dataset.sites
+                for year, row in zip(s.covariates.years, s.covariates.matrix)
+            ),
+        ),
+        (
+            "reference_points.csv",
+            ["point_id", "lon", "lat"] + [f"lulc_{y}" for y in lulc_years],
+            (
+                (
+                    p.point_id, p.lon, p.lat,
+                    *(name_to_code[p.lulc_series[y].name] for y in lulc_years),
+                )
+                for p in dataset.references
+            ),
+        ),
+        (
+            "lulc_codes.csv",
+            ["code", "name"],
+            ((code, cls.name) for code, cls in DEFAULT_LULC_CODES.entries()),
+        ),
+        (
+            "ground_truth.csv",
+            ["id", "kind", "true_class", "from", "to", "transition_year", "rate"],
+            (
+                (
+                    r.record_id, r.kind, r.true_class, r.from_class, r.to_class,
+                    r.transition_year, r.rate,
+                )
+                for r in sorted(truth.records.values(), key=lambda r: r.record_id)
+            ),
+        ),
+    ]
+    return [write_csv(out / name, header, rows, threads) for name, header, rows in tables]

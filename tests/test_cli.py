@@ -298,13 +298,18 @@ class TestProjectCommand:
         assert float(sil.split(",")[1]) > 0.0
 
     def test_reference_year_without_embeddings_names_the_year(self, world_dir, tmp_path, capsys):
+        # 2024 is inside the embedding years, but no row carries it.
+        world = tmp_path / "world"
+        shutil.copytree(world_dir, world)
+        rows = (world / "embeddings.csv").read_text().splitlines(keepends=True)
+        (world / "embeddings.csv").write_text("".join(r for r in rows if r.split(",")[1] != "2024"))
         out = tmp_path / "proj"
-        code = run(["project", "--inputs-dir", world_dir, "--output-dir", out,
-                    "--reference-year", "2030"])
+        code = run(["project", "--inputs-dir", world, "--output-dir", out,
+                    "--reference-year", "2024"])
         assert code == 1
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "degenerate_data"
-        assert "year 2030, got 0" in record["message"]
+        assert "year 2024, got 0" in record["message"]
         assert not out.exists() or not any(out.iterdir())
 
 

@@ -160,3 +160,48 @@ class TestYearWindows:
         )
         assert code == 0
         assert (out / "funnel.csv").exists()
+
+
+#: The actions that take reference_year.
+REFERENCE_YEAR_ACTIONS = [["references", "build"], ["references", "outliers"], ["project"],
+                          ["trajectories"], ["predict"]]
+
+
+class TestReferenceYear:
+    # The loaders keep each point's embeddings of first_year..last_year only,
+    # so a reference year outside them could never be served.
+    @pytest.mark.parametrize("command", REFERENCE_YEAR_ACTIONS)
+    def test_a_flag_outside_the_embedding_years_is_invalid(self, world_dir, tmp_path, capsys,
+                                                           command):
+        out = tmp_path / "out"
+        assert run([*command, "--inputs-dir", world_dir, "--output-dir", out,
+                    "--reference-year", "2030"]) == 1
+        record = _record(capsys)
+        assert (record["error"], record["file"], record["line"]) == ("invalid_value", None, None)
+        assert "reference_year (2030) is outside the embedding years 2017-2024" in record["message"]
+        _assert_no_outputs(out)
+
+    @pytest.mark.parametrize("text, line", [
+        ("reference_year = 2016\n", 1),
+        ("seed = 1\nreference_year = 2030\n", 2),
+        # The key set later in the file is the one blamed.
+        ("reference_year = 2020\nfirst_year = 2021\n", 2),
+        ("last_year = 2019\nreference_year = 2020\n", 2),
+        ("reference_year = 2020\nseed = 1\nlast_year = 2019\n", 3),
+    ])
+    @pytest.mark.parametrize("command", [["project"], ["references", "build"]])
+    def test_a_config_line_outside_the_embedding_years_is_located(
+            self, world_dir, tmp_path, capsys, command, text, line):
+        code, cfg, out = _run_config(command, ["--inputs-dir", world_dir], tmp_path, text)
+        assert code == 1
+        record = _record(capsys)
+        assert (record["error"], record["file"], record["line"]) == ("invalid_value", str(cfg), line)
+        assert "reference_year" in record["message"]
+        _assert_no_outputs(out)
+
+    @pytest.mark.parametrize("command", [["validate"], ["report"], ["references", "classify"]])
+    def test_actions_without_a_reference_year_do_not_check_it(self, world_dir, tmp_path,
+                                                              command):
+        code, _, _ = _run_config(command, ["--inputs-dir", world_dir], tmp_path,
+                                 "reference_year = 2030\n")
+        assert code == 0

@@ -135,22 +135,25 @@ def test_a_signal_ends_the_command_with_an_interrupted_record(tmp_path, signum):
         cli._HANDLERS["report"] = waiting_report
         sys.exit(cli.main(sys.argv[1:]))
     """
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-c", textwrap.dedent(code), "report", "--output-dir", str(out_dir)],
         env=dict(os.environ, PYTHONPATH=SRC), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        text=True, start_new_session=True)
-    try:
-        assert [proc.stdout.readline() for _ in range(2)] == ["ready\n"] * 2
-        assert (out_dir / "partial.csv").exists()
-        if signum == signal.SIGINT:
-            os.killpg(proc.pid, signum)
-        else:
-            os.kill(proc.pid, signum)
-        _, err = proc.communicate(timeout=60)
-    finally:
-        if proc.poll() is None:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
+        text=True, start_new_session=True,
+    ) as proc:
+        try:
+            assert [proc.stdout.readline() for _ in range(2)] == ["ready\n"] * 2
+            # The output is staged, not yet under its final name.
+            (staging,) = out_dir.iterdir()
+            assert (staging / "partial.csv").exists()
+            if signum == signal.SIGINT:
+                os.killpg(proc.pid, signum)
+            else:
+                os.kill(proc.pid, signum)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
     assert proc.returncode == 1
     # One record, and no traceback from the command or a worker.
     (line,) = err.strip().splitlines()

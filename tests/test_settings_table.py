@@ -148,6 +148,33 @@ class TestProbes:
         assert "2030, 2031" in record["message"]
         _assert_no_outputs(out)
 
+    @pytest.mark.parametrize("text, missing", [
+        ("stability_end_year = 2023\n", "[2014]"),
+        ("min_stable_years = 12\n", "[2013, 2014]"),
+        ("change_from_first = 2012\n", "[2012, 2013, 2014]"),
+    ])
+    @pytest.mark.parametrize("command", [["references", "classify"], ["project"]])
+    def test_a_stability_window_past_the_lulc_columns_is_located_at_the_header(
+            self, world_dir, tmp_path, capsys, command, text, missing):
+        # Every point has the header's lulc_<Y> columns, 2015-2024 here.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert run([*command, "--inputs-dir", world_dir, "--output-dir", out,
+                    "--config", cfg]) == 1
+        record = _record(capsys)
+        assert (record["error"], record["file"], record["line"]) == (
+            "insufficient_series", str(world_dir / "reference_points.csv"), 1)
+        assert f"missing required years {missing}" in record["message"]
+        _assert_no_outputs(out)
+
+    def test_a_lulc_window_inside_the_columns_still_runs(self, world_dir, tmp_path):
+        # The loader reads every lulc_<Y> column, so 2015 is still there.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lulc_first_year = 2016\n")
+        assert run(["references", "classify", "--inputs-dir", world_dir,
+                    "--output-dir", tmp_path / "out", "--config", cfg]) == 0
+
     def test_synth_takes_its_knobs_from_a_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("noise_sigma = 0.1\nn_sites = 4\npoints_per_class = 3\n"
